@@ -246,7 +246,7 @@ def _leader_hint(sc: RobotScenario) -> np.ndarray:
     return _hint_states(_route_anchors(sc, sc.region3[0] + 0.4), sc.horizon)
 
 
-def _follower_hint(sc: RobotScenario) -> np.ndarray:
+def follower_hint(sc: RobotScenario) -> np.ndarray:
     return _hint_states(_route_anchors(sc, sc.region4[1] - 0.3), sc.horizon)
 
 
@@ -533,7 +533,7 @@ def run_follower_experiment(
     base = synthesize_open_loop(
         sys, spec, {0: sc.start_pos}, preds_at(0),
         lambda tau, i: radii.closed_radius(0, tau, i),
-        hint_xs=_follower_hint(sc), node_limit=node_limit,
+        hint_xs=follower_hint(sc), node_limit=node_limit,
     )
     if not base.feasible:
         raise RuntimeError(f"baseline follower plan is {base.status}")

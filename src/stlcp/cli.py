@@ -32,7 +32,7 @@ from .casestudies import (
     robot_system,
     temperature_reformulate,
 )
-from .casestudies.robot import _follower_hint
+from .casestudies.robot import follower_hint
 from .conformal import calibrate, compute_normalizers, validate_coverage
 from .milp import write_lp
 from .prediction import (
@@ -268,7 +268,7 @@ def _make_predictor(cfg: ExperimentConfig, ds, t_phi: int):
 def _system_and_spec(cfg: ExperimentConfig, sc):
     if cfg.scenario == "temperature":
         return temperature_reformulate(sc), build_temperature_spec(sc.horizon, sc.comfort_gap), None
-    return robot_system(sc), build_robot_specs(sc)[0], _follower_hint(sc)
+    return robot_system(sc), build_robot_specs(sc)[0], follower_hint(sc)
 
 
 # ---------------------------------------------------------------------------

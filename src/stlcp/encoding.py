@@ -33,19 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .milp import MilpModel
-from .stl import (
-    AffinePredicate,
-    Always,
-    And,
-    Eventually,
-    Not,
-    Or,
-    Pred,
-    TrueNode,
-    Until,
-    collect_predicates,
-    horizon,
-)
+from .stl import AffinePredicate, CompiledSpec, compile_spec, is_pnf
 
 EPS = 1e-6
 EPS_ROBUST = 1e-4
@@ -79,18 +67,6 @@ class LinExpr:
 
     def value(self, assignment: dict[int, float]) -> float:
         return self.const + sum(c * assignment[v] for v, c in self.coeffs.items())
-
-    def bounds(self, model: MilpModel) -> tuple[float, float]:
-        lo = hi = self.const
-        for v, c in self.coeffs.items():
-            a, b = c * model.vars[v].lb, c * model.vars[v].ub
-            lo += min(a, b)
-            hi += max(a, b)
-        return lo, hi
-
-    def __repr__(self) -> str:
-        terms = " ".join(f"{c:+g}*v{v}" for v, c in sorted(self.coeffs.items()))
-        return f"LinExpr({terms} {self.const:+g})"
 
 
 def _as_expr(h) -> LinExpr:
@@ -136,6 +112,7 @@ class Encoding:
     big_m: float
     registry: list = field(default_factory=list)
     n_binaries: int = 0
+    atoms: _AtomTable | None = None  # the step's tightened atom instances
 
 
 # ---------------------------------------------------------------------------
@@ -203,170 +180,182 @@ def kkt_certificate(pred: AffinePredicate, centers: Sequence[np.ndarray], radii:
     return TighteningCertificate(value, tuple(ys), tuple(lams), stat, feas, comp)
 
 
-def _atom_expr(ctx: EncodingContext, pred: AffinePredicate, tau: int) -> LinExpr | float:
-    """Tightened value of an atom at absolute time tau; constant if fully
-    observed or agent-only, affine in the state variables otherwise."""
-    expr = LinExpr(const=pred.offset)
-    if pred.coeff_x:
-        if tau <= ctx.k:
-            xs = ctx.observed_x[tau]
-            expr.const += float(np.dot(pred.coeff_x, xs[: len(pred.coeff_x)]))
-        else:
-            try:
-                vids = ctx.state_vars[tau]
-            except KeyError:
-                raise EncodingError(f"no state variables registered for time {tau}") from None
-            for d, coef in enumerate(pred.coeff_x):
-                expr.add_term(vids[d], coef)
-    for i, a in enumerate(pred.coeff_y):
-        a = np.asarray(a, dtype=float)
-        nrm = float(np.linalg.norm(a))
-        if nrm == 0.0:
-            continue
-        if tau <= ctx.k:
-            expr.const += float(np.dot(a, ctx.observed_y[(tau, i)]))
-        else:
-            center = ctx.predicted_y[(tau, i)]
-            r = float(ctx.radius(tau, i))
-            expr.const += float(np.dot(a, center))
-            if math.isinf(r):
-                expr.const = -math.inf
-                break
-            expr.const -= r * nrm
-    if expr.const == -math.inf:
-        return -math.inf  # uncalibrated radius: atom unsatisfiable for any state
-    if expr.is_const:
-        return expr.const
-    return expr
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products.  The batched matmul rounds each row exactly
+    like np.dot; a plain sum of elementwise products would not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class _AtomTable:
+    """Every atom instance of a compiled spec, tightened once for one step:
+    const[j] folds the observed prefix in (tau <= k) and takes future agent
+    parts at their worst case a . yhat - r ||a|| (-inf for r = inf).
+    linear[j] marks instances still affine in the state (coefficients
+    spec.x_terms); truth[j] is the sign of the others, None for linear ones.
+    """
+
+    def __init__(self, ctx: EncodingContext, cs: CompiledSpec):
+        self.spec = cs
+        pidx, tau = cs.atom_pred, cs.atom_tau
+        past = tau <= ctx.k
+        const = cs.offsets[pidx]
+        seen_x = past & cs.has_x[pidx]
+        xs = np.zeros((cs.horizon + 1, cs.coeff_x.shape[1]))
+        for t in sorted(set(tau[cs.has_x[pidx]].tolist())):
+            if t <= ctx.k:
+                xs[t] = ctx.observed_x[t][: xs.shape[1]]
+            elif t not in ctx.state_vars:
+                raise EncodingError(f"no state variables registered for time {t}")
+        const[seen_x] += _rowdot(cs.coeff_x[pidx[seen_x]], xs[tau[seen_x]])
+        for i, times in enumerate(cs.agent_times):
+            ys = np.zeros((cs.horizon + 1, cs.coeff_y[i].shape[1]))
+            r = np.zeros(cs.horizon + 1)
+            for t in times:
+                if t <= ctx.k:
+                    ys[t] = ctx.observed_y[(t, i)]
+                else:
+                    ys[t] = ctx.predicted_y[(t, i)]
+                    r[t] = float(ctx.radius(t, i))
+            nrm = cs.norm_y[pidx, i]
+            use = nrm != 0.0
+            const[use] += _rowdot(cs.coeff_y[i][pidx[use]], ys[tau[use]])
+            ahead = use & ~past
+            const[ahead] -= r[tau[ahead]] * nrm[ahead]
+        self._const = const
+        self._linear = ~past & (cs.coeff_x != 0.0).any(axis=1)[pidx] & (const != -math.inf)
+        self.const = const.tolist()
+        self.linear = self._linear.tolist()
+        self.truth = [None if lin else c >= 0.0 for c, lin in zip(self.const, self.linear)]
+
+    def _accumulate(self, acc: np.ndarray, term) -> np.ndarray:
+        """acc[j] += term(c, tau, d) over the nonzero state coefficients c of
+        linear instance j, in dimension order (the order LinExpr sums in)."""
+        cs = self.spec
+        pidx, tau = cs.atom_pred[self._linear], cs.atom_tau[self._linear]
+        for d in range(cs.coeff_x.shape[1]):
+            c = cs.coeff_x[pidx, d]
+            nz = c != 0.0
+            acc[nz] += term(c[nz], tau[nz], d)
+        return acc
+
+    def big_m(self, ctx: EncodingContext) -> float:
+        """Twice the largest finite |tightened atom value|, at least 2, by
+        interval arithmetic over the model's variable bounds."""
+        lb, ub = np.zeros((2, self.spec.horizon + 1, self.spec.coeff_x.shape[1]))
+        for t, vids in ctx.state_vars.items():
+            for d, v in enumerate(vids[: lb.shape[1]] if t < len(lb) else ()):
+                lb[t, d], ub[t, d] = ctx.model.vars[v].lb, ctx.model.vars[v].ub
+        base = self._const[self._linear]
+        lo = self._accumulate(base.copy(), lambda c, t, d: np.minimum(c * lb[t, d], c * ub[t, d]))
+        hi = self._accumulate(base.copy(), lambda c, t, d: np.maximum(c * lb[t, d], c * ub[t, d]))
+        cand = np.abs(self._const)
+        cand[self._linear] = np.maximum(np.abs(lo), np.abs(hi))
+        return 2.0 * float(np.max(cand[np.isfinite(cand)], initial=1.0))
+
+    def holds(self, ctx: EncodingContext, xs: np.ndarray) -> list[bool]:
+        """Per instance, whether state trajectory xs satisfies it: linear
+        instances by the row margin eps, less a 1e-9 slack for float echo
+        when xs sits exactly on an active row; constants by their sign."""
+        out = self._const >= 0.0
+        value = self._const[self._linear] + self._accumulate(
+            np.zeros(int(self._linear.sum())), lambda c, t, d: c * xs[t, d])
+        out[self._linear] = value >= ctx.eps - 1e-9
+        return out.tolist()
 
 
 def select_big_m(ctx: EncodingContext, formula) -> float:
-    """Bound on |tightened atom value| across the formula, doubled.
-
-    Interval arithmetic over the model's variable bounds; infinite radii give
-    atoms that fold to constants and are excluded.
-    """
-    worst = 1.0
-    for pred, times in collect_predicates(formula, base_time=0):
-        for tau in times:
-            e = _atom_expr(ctx, pred, tau)
-            if isinstance(e, LinExpr):
-                lo, hi = e.bounds(ctx.model)
-                cand = max(abs(lo), abs(hi))
-            else:
-                cand = abs(e)
-            if math.isfinite(cand):
-                worst = max(worst, cand)
-    return 2.0 * worst
+    """Bound on |tightened atom value| across the formula, doubled; see
+    _AtomTable.big_m."""
+    return _AtomTable(ctx, _compiled(formula)).big_m(ctx)
 
 
 # ---------------------------------------------------------------------------
 # encoding proper
 
 
-def encode(ctx: EncodingContext, formula) -> Encoding:
-    """Encode a PNF formula rooted at absolute time 0 into ctx.model."""
-    from .stl import is_pnf
-
+def _compiled(formula) -> CompiledSpec:
+    if isinstance(formula, CompiledSpec):
+        return formula
     if not is_pnf(formula):
         raise EncodingError("encoder expects positive normal form; call to_pnf first")
-    if horizon(formula) > ctx.t_phi:
-        raise EncodingError(f"formula horizon {horizon(formula)} exceeds available window {ctx.t_phi}")
+    return compile_spec(formula)
+
+
+def encode(ctx: EncodingContext, formula) -> Encoding:
+    """Encode a PNF formula, or a compiled spec, rooted at absolute time 0
+    into ctx.model."""
+    cs = _compiled(formula)
+    if cs.horizon > ctx.t_phi:
+        raise EncodingError(f"formula horizon {cs.horizon} exceeds available window {ctx.t_phi}")
+    atoms = _AtomTable(ctx, cs)
     if ctx.big_m is None:
-        ctx.big_m = select_big_m(ctx, formula)
-    enc = Encoding(root=None, mode=ctx.mode, big_m=ctx.big_m)
+        ctx.big_m = atoms.big_m(ctx)
+    enc = Encoding(root=None, mode=ctx.mode, big_m=ctx.big_m, atoms=atoms)
     if ctx.mode == "qual":
-        state = _QualState()
-        kt = _known_truth(ctx, state, formula, 0)
+        state = _QualState(atoms, atoms.truth)
+        kt = _known_truth(state, cs.root, 0)
         if kt is None:
-            _encode_qual(ctx, enc, state, formula, 0, None)
+            _encode_qual(ctx, enc, state, cs.root, 0, None)
         enc.root = kt
     else:
-        enc.root = _encode_quant(ctx, enc, {}, formula, 0)
+        enc.root = _encode_quant(ctx, enc, {}, cs.root, 0)
     return enc
 
 
-def _temporal_children(formula, tau: int):
-    """Rewrite one temporal layer into (kind, [(child, time), ...]) groups."""
-    if isinstance(formula, And):
-        return "and", [(c, tau) for c in formula.children]
-    if isinstance(formula, Or):
-        return "or", [(c, tau) for c in formula.children]
-    if isinstance(formula, Always):
-        return "and", [(formula.child, t) for t in range(tau + formula.a, tau + formula.b + 1)]
-    if isinstance(formula, Eventually):
-        return "or", [(formula.child, t) for t in range(tau + formula.a, tau + formula.b + 1)]
-    raise EncodingError(f"cannot encode node {type(formula).__name__}")
-
-
 class _QualState:
-    """Per-encode caches: three-valued folds, indicator binaries, emitted rows."""
+    """The atom table, each instance's truth (True/False/None), and caches of
+    folds, indicator binaries and emitted rows keyed by (node id, tau)."""
 
-    __slots__ = ("truth", "indicators", "emitted")
+    __slots__ = ("spec", "atoms", "leaves", "truth", "indicators", "emitted")
 
-    def __init__(self):
+    def __init__(self, atoms: _AtomTable, leaves: list):
+        self.spec = atoms.spec
+        self.atoms = atoms
+        self.leaves = leaves
         self.truth: dict = {}
         self.indicators: dict = {}
         self.emitted: set = set()
 
 
-def _known_truth(ctx, state, formula, tau: int):
-    """Three-valued fold: True/False when the observed prefix (or an
-    agent-only tightened constant) decides the subformula, None otherwise."""
-    key = (formula, tau)
+def _known_truth(state: _QualState, nid: int, tau: int):
+    """Three-valued fold: True/False when the leaves (the observed prefix or
+    agent-only tightened constants) decide node nid at tau, None otherwise."""
+    key = (nid, tau)
     if key in state.truth:
         return state.truth[key]
-    out = _known_truth_inner(ctx, state, formula, tau)
+    node = state.spec.nodes[nid]
+    if node.op == "pred":
+        out = state.leaves[state.spec.atom_index[node.pred, tau]]
+    elif node.op == "true":
+        out = True
+    else:
+        decisive = node.op == "or"  # a True decides an or, a False an and
+        out = not decisive
+        for c, dt in node.pairs:
+            b = _known_truth(state, c, tau + dt)
+            if b is decisive:
+                out = decisive
+                break
+            if b is None:
+                out = None
     state.truth[key] = out
     return out
 
 
-def _known_truth_inner(ctx, state, formula, tau: int):
-    if isinstance(formula, TrueNode):
-        return True
-    if isinstance(formula, Not):
-        raise EncodingError("encoder expects negation normal form; call to_pnf first")
-    if isinstance(formula, Pred):
-        e = _atom_expr(ctx, formula.predicate, tau)
-        if isinstance(e, float):
-            return e >= 0.0  # constant fold: plain sign test, no margin
-        return None
-    if isinstance(formula, Until):
-        pairs = [(_until_witness(formula, dt2), tau) for dt2 in range(formula.a, formula.b + 1)]
-        kind = "or"
-    else:
-        kind, pairs = _temporal_children(formula, tau)
-    bits = [_known_truth(ctx, state, child, t) for child, t in pairs]
-    if kind == "and":
-        if any(b is False for b in bits):
-            return False
-        return True if all(b is True for b in bits) else None
-    if any(b is True for b in bits):
-        return True
-    return False if all(b is False for b in bits) else None
-
-
-def _until_witness(formula: Until, dt2: int) -> And:
-    """Witness at offset dt2: right holds there and left holds up to it.
-    Point shifts G[d,d] keep every part a plain formula node so indicator
-    caching works across witnesses that share parts."""
-    parts = [Always(dt2, dt2, formula.right)]
-    parts += [Always(d, d, formula.left) for d in range(dt2 + 1)]
-    return And(tuple(parts))
-
-
-def _encode_qual(ctx, enc, state, formula, tau: int, guard: int | None) -> None:
+def _encode_qual(ctx, enc, state: _QualState, nid: int, tau: int, guard: int | None) -> None:
     """Emit rows so that guard = 1 (or unconditionally when guard is None)
-    forces the subformula at tau.  Caller guarantees the fold is undecided."""
-    key = (formula, tau, guard)
+    forces node nid at tau.  Caller guarantees the fold is undecided."""
+    key = (nid, tau, guard)
     if key in state.emitted:
         return
     state.emitted.add(key)
-    if isinstance(formula, Pred):
-        e = _atom_expr(ctx, formula.predicate, tau)
-        row = {v: -c for v, c in e.coeffs.items()}
-        rhs = e.const - ctx.eps
-        name = f"sat_{formula.predicate.name}_t{tau}"
+    cs = state.spec
+    node = cs.nodes[nid]
+    if node.op == "pred":
+        vids = ctx.state_vars[tau]
+        row = {vids[d]: -c for d, c in cs.x_terms[node.pred]}
+        rhs = state.atoms.const[cs.atom_index[node.pred, tau]] - ctx.eps
+        name = f"sat_{cs.predicates[node.pred].name}_t{tau}"
         if guard is not None:
             # e >= eps - M (1 - z)
             row[guard] = ctx.big_m
@@ -374,17 +363,13 @@ def _encode_qual(ctx, enc, state, formula, tau: int, guard: int | None) -> None:
             name += f"_g{guard}"
         ctx.model.add_constraint(row, "<=", rhs, name=name)
         return
-    if isinstance(formula, Until):
-        pairs = [(_until_witness(formula, dt2), tau) for dt2 in range(formula.a, formula.b + 1)]
-        kind = "or"
-    else:
-        kind, pairs = _temporal_children(formula, tau)
     live, seen = [], set()
-    for child, t in pairs:
-        if _known_truth(ctx, state, child, t) is None and (child, t) not in seen:
+    for child, dt in node.pairs:
+        t = tau + dt
+        if _known_truth(state, child, t) is None and (child, t) not in seen:
             seen.add((child, t))
             live.append((child, t))
-    if kind == "and":
+    if node.op == "and":
         for child, t in live:
             _encode_qual(ctx, enc, state, child, t, guard)
         return
@@ -392,53 +377,54 @@ def _encode_qual(ctx, enc, state, formula, tau: int, guard: int | None) -> None:
         _encode_qual(ctx, enc, state, live[0][0], live[0][1], guard)
         return
     zs = [_ensure_indicator(ctx, enc, state, child, t) for child, t in live]
-    label = f"cover_{type(formula).__name__.lower()}_t{tau}"
+    label = f"cover_{node.name}_t{tau}"
     if guard is None:
         ctx.model.add_constraint({z: 1.0 for z in zs}, ">=", 1.0, name=label)
     else:
         ctx.model.add_constraint({guard: 1.0, **{z: -1.0 for z in zs}}, "<=", 0.0, name=f"{label}_g{guard}")
 
 
-def _ensure_indicator(ctx, enc, state, formula, tau: int) -> int:
-    """Binary z with the one-sided meaning [z = 1 implies formula at tau],
+def _ensure_indicator(ctx, enc, state: _QualState, nid: int, tau: int) -> int:
+    """Binary z with the one-sided meaning [z = 1 implies node nid at tau],
     shared across every disjunction that mentions this occurrence."""
-    key = (formula, tau)
+    key = (nid, tau)
     if key in state.indicators:
         return state.indicators[key]
-    z = ctx.model.add_binary(f"z{enc.n_binaries}_{type(formula).__name__.lower()}_t{tau}")
+    z = ctx.model.add_binary(f"z{enc.n_binaries}_{state.spec.nodes[nid].name}_t{tau}")
     enc.n_binaries += 1
     state.indicators[key] = z
-    enc.registry.append(("ind", z, formula, tau))
-    _encode_qual(ctx, enc, state, formula, tau, z)
+    enc.registry.append(("ind", z, nid, tau))
+    _encode_qual(ctx, enc, state, nid, tau, z)
     return z
 
 
-def _encode_quant(ctx, enc, cache, formula, tau: int):
-    key = (formula, tau)
+def _encode_quant(ctx, enc, cache, nid: int, tau: int):
+    key = (nid, tau)
     if key in cache:
         return cache[key]
-    out = _encode_quant_inner(ctx, enc, cache, formula, tau)
+    cs = enc.atoms.spec
+    node = cs.nodes[nid]
+    if node.op == "true":
+        out = math.inf
+    elif node.op == "pred":
+        j = cs.atom_index[node.pred, tau]
+        out = enc.atoms.const[j]
+        if enc.atoms.linear[j]:
+            vids = ctx.state_vars[tau]
+            out = LinExpr({vids[d]: c for d, c in cs.x_terms[node.pred]}, out)
+    elif node.until is not None:
+        a, b, left, right = node.until
+        witnesses = []
+        for t2 in range(tau + a, tau + b + 1):
+            parts = [_encode_quant(ctx, enc, cache, right, t2)]
+            parts += [_encode_quant(ctx, enc, cache, left, t1) for t1 in range(tau, t2 + 1)]
+            witnesses.append(_quant_gate(ctx, enc, "min", parts, f"until_w{t2}_t{tau}"))
+        out = _quant_gate(ctx, enc, "max", witnesses, f"until_t{tau}")
+    else:
+        handles = [_encode_quant(ctx, enc, cache, c, tau + dt) for c, dt in node.pairs]
+        out = _quant_gate(ctx, enc, "min" if node.op == "and" else "max", handles, f"{node.op}_t{tau}")
     cache[key] = out
     return out
-
-
-def _encode_quant_inner(ctx, enc, cache, formula, tau: int):
-    if isinstance(formula, TrueNode):
-        return math.inf
-    if isinstance(formula, Not):
-        raise EncodingError("encoder expects negation normal form; call to_pnf first")
-    if isinstance(formula, Pred):
-        return _atom_expr(ctx, formula.predicate, tau)
-    if isinstance(formula, Until):
-        witnesses = []
-        for t2 in range(tau + formula.a, tau + formula.b + 1):
-            parts = [_encode_quant(ctx, enc, cache, formula.right, t2)]
-            parts += [_encode_quant(ctx, enc, cache, formula.left, t1) for t1 in range(tau, t2 + 1)]
-            witnesses.append(_quant_gate(ctx, enc, "min", parts, f"until_w{t2}_t{tau}"))
-        return _quant_gate(ctx, enc, "max", witnesses, f"until_t{tau}")
-    kind, pairs = _temporal_children(formula, tau)
-    handles = [_encode_quant(ctx, enc, cache, child, t) for child, t in pairs]
-    return _quant_gate(ctx, enc, "min" if kind == "and" else "max", handles, f"{kind}_t{tau}")
 
 
 def _quant_gate(ctx, enc, op: str, handles: list, label: str):
@@ -541,40 +527,13 @@ def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tup
     for tau, vids in ctx.state_vars.items():
         for d, vid in enumerate(vids):
             vals[vid] = float(xs[tau, d])
-    memo: dict = {}
-
-    def holds(formula, tau: int) -> bool:
-        key = (formula, tau)
-        if key in memo:
-            return memo[key]
-        if isinstance(formula, TrueNode):
-            out = True
-        elif isinstance(formula, Pred):
-            e = _atom_expr(ctx, formula.predicate, tau)
-            if isinstance(e, float):
-                out = e >= 0.0
-            else:
-                # slack absorbs float echo when the candidate sits exactly on
-                # the eps boundary of an active row
-                out = e.value(vals) >= ctx.eps - 1e-9
-        elif isinstance(formula, Until):
-            out = any(
-                holds(_until_witness(formula, dt2), tau)
-                for dt2 in range(formula.a, formula.b + 1)
-            )
-        else:
-            kind, pairs = _temporal_children(formula, tau)
-            agg = all if kind == "and" else any
-            out = agg(holds(child, t) for child, t in pairs)
-        memo[key] = out
-        return out
-
+    plan = _QualState(enc.atoms, enc.atoms.holds(ctx, xs))
     out: dict[int, int] = {}
     extras: dict[int, float] = {}
     for entry in enc.registry:
         if entry[0] == "ind":
-            _, z, formula, tau = entry
-            out[z] = 1 if holds(formula, tau) else 0
+            _, z, nid, tau = entry
+            out[z] = 1 if _known_truth(plan, nid, tau) else 0
         elif entry[0] == "root":
             _, rbar, e = entry
             extras[rbar] = vals[rbar] = e.value(vals)
@@ -587,9 +546,3 @@ def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tup
             extras[rbar] = vals[rbar] = scores[best]
     return out, extras
 
-
-def debug_dump(enc: Encoding) -> str:
-    lines = [f"mode={enc.mode} big_m={enc.big_m} binaries={enc.n_binaries} root={enc.root!r}"]
-    for entry in enc.registry:
-        lines.append("  " + repr(entry))
-    return "\n".join(lines)

@@ -19,8 +19,8 @@ import heapq
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -551,35 +551,6 @@ def solve_bb(
     open_bounds = [bound for bound, _, _ in heap]
     gap = max(0.0, best_obj - min(open_bounds)) if open_bounds else 0.0
     return Solution(status_out, best_x, best_obj + model.obj_const, total_iters, nodes, gap)
-
-
-def brute_force_solve(model: MilpModel, max_binaries: int = 20) -> Solution:
-    """Enumerate every binary assignment and solve the remaining LPs.
-
-    Oracle-grade reference for solve_bb; guarded to small instances.
-    """
-    binaries = model.binary_ids()
-    if len(binaries) > max_binaries:
-        raise ValueError(f"{len(binaries)} binaries exceed brute-force guard of {max_binaries}")
-    c, A, eq, b, lb, ub = model.arrays()
-    arr = _Arrays(c, A, eq, b, lb, ub)
-    best = None
-    best_obj = math.inf
-    iters = 0
-    saw_unbounded = False
-    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        fixed = dict(zip(binaries, bits))
-        if any(not (model.vars[j].lb <= v <= model.vars[j].ub) for j, v in fixed.items()):
-            continue
-        status, x, obj, it = _solve_fixed(arr, fixed)
-        iters += it
-        if status == "unbounded":
-            saw_unbounded = True
-        if status == "optimal" and obj < best_obj - 1e-12:
-            best, best_obj = x, obj
-    if best is None:
-        return Solution("unbounded" if saw_unbounded else "infeasible", iterations=iters)
-    return Solution("optimal", best, best_obj + model.obj_const, iterations=iters, nodes=2 ** len(binaries))
 
 
 # ---------------------------------------------------------------------------

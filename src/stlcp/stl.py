@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class AffinePredicate:
             -self.offset - NEGATION_MARGIN,
             name=f"neg({self.name})" if self.name else "",
         )
-
-    def depends_on_agents(self) -> bool:
-        return any(any(c != 0.0 for c in cy) for cy in self.coeff_y)
 
 
 # ---------------------------------------------------------------------------
@@ -593,38 +590,132 @@ def collect_predicates(f: Formula, base_time: int = 0) -> list[tuple[AffinePredi
     Returns pairs in first-visit order; times are absolute, assuming the
     formula is applied at base_time.
     """
-    order: list[AffinePredicate] = []
-    times: dict[AffinePredicate, set[int]] = {}
+    if not is_pnf(f):
+        raise ValueError("collect_predicates expects positive normal form")
+    cs = compile_spec(f)
+    return [(p, tuple((base_time + cs.atom_tau[cs.atom_pred == i]).tolist())) for i, p in enumerate(cs.predicates)]
 
-    def visit(g: Formula, t: int):
-        if isinstance(g, TrueNode):
-            return
-        if isinstance(g, Pred):
-            if g.predicate not in times:
-                order.append(g.predicate)
-                times[g.predicate] = set()
-            times[g.predicate].add(t)
-            return
-        if isinstance(g, Not):
-            raise ValueError("collect_predicates expects positive normal form")
-        if isinstance(g, (And, Or)):
-            for c in g.children:
-                visit(c, t)
-            return
-        if isinstance(g, (Always, Eventually)):
-            for tp in range(t + g.a, t + g.b + 1):
-                visit(g.child, tp)
-            return
-        if isinstance(g, Until):
-            for tp in range(t + g.a, t + g.b + 1):
-                visit(g.right, tp)
-                for tpp in range(t, tp + 1):
-                    visit(g.left, tpp)
-            return
-        raise TypeError(f"not a formula: {g!r}")
 
-    visit(f, base_time)
-    return [(p, tuple(sorted(times[p]))) for p in order]
+# ---------------------------------------------------------------------------
+# compilation for repeated encoding
+
+
+@dataclass(frozen=True, slots=True)
+class Node:
+    """An interned subformula: op "true", "pred", "and" or "or", operands as
+    (child id, time offset) pairs (temporal operators unroll to offsets, until
+    to its witnesses), and the type name that labels rows and binaries."""
+
+    op: str
+    name: str
+    pairs: tuple[tuple[int, int], ...] = ()
+    pred: int = -1
+    until: tuple[int, int, int, int] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledSpec:
+    """A PNF formula compiled once, for encoding at every planning step.
+
+    Equal subformulas share one node.  The distinct predicates come in
+    first-visit order with stacked, zero-padded coefficients.  Atom instance
+    j is predicate atom_pred[j] at time atom_tau[j], in collect_predicates
+    order; atom_index[p, tau] = j.  agent_times[i] lists when atoms read agent i.
+    """
+
+    formula: Formula
+    horizon: int
+    root: int
+    nodes: tuple[Node, ...]
+    predicates: tuple[AffinePredicate, ...]
+    offsets: np.ndarray  # (P,)
+    has_x: np.ndarray  # (P,) whether the predicate has a system part
+    coeff_x: np.ndarray  # (P, n_x)
+    x_terms: tuple[tuple[tuple[int, float], ...], ...]  # nonzero (dim, coeff) per predicate
+    coeff_y: tuple[np.ndarray, ...]  # agent i: (P, d_i)
+    norm_y: np.ndarray  # (P, n_agents), ||a_i||
+    atom_pred: np.ndarray
+    atom_tau: np.ndarray
+    atom_index: dict[tuple[int, int], int]
+    agent_times: tuple[tuple[int, ...], ...]
+
+
+def compile_spec(formula: Formula) -> CompiledSpec:
+    """Rewrite to PNF, intern every subformula by value, including each
+    until witness G[d2,d2] right & G[0,0] left & .. & G[d2,d2] left, and
+    stack the predicates and their atom instances."""
+    pnf = to_pnf(formula)
+    nodes: list[Node] = []
+    ids: dict = {}
+    pred_ids: dict[AffinePredicate, int] = {}
+
+    def node(key, op: str, name: str, pairs=(), pred: int = -1, until=None) -> int:
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(Node(op, name, tuple(pairs), pred, until))
+        return ids[key]
+
+    def temporal(kind: str, a: int, b: int, child: int) -> int:
+        op = "and" if kind == "Always" else "or"
+        return node((kind, a, b, child), op, kind.lower(), [(child, d) for d in range(a, b + 1)])
+
+    def conj(kind: str, kids: tuple[int, ...]) -> int:
+        return node((kind, kids), kind.lower(), kind.lower(), [(c, 0) for c in kids])
+
+    def intern(f: Formula) -> int:
+        if isinstance(f, TrueNode):
+            return node(("TrueNode",), "true", "truenode")
+        if isinstance(f, Pred):
+            p = pred_ids.setdefault(f.predicate, len(pred_ids))
+            return node(("Pred", p), "pred", "pred", pred=p)
+        if isinstance(f, (And, Or)):
+            return conj(type(f).__name__, tuple(intern(c) for c in f.children))
+        if isinstance(f, (Always, Eventually)):
+            return temporal(type(f).__name__, f.a, f.b, intern(f.child))
+        if isinstance(f, Until):
+            right, left = intern(f.right), intern(f.left)  # first-visit order
+            wits = [conj("And", tuple([temporal("Always", d2, d2, right)] + [temporal("Always", d, d, left) for d in range(d2 + 1)]))
+                    for d2 in range(f.a, f.b + 1)]
+            until = (f.a, f.b, left, right)
+            return node(("Until",) + until, "or", "until", [(w, 0) for w in wits], until=until)
+        raise TypeError(f"not a PNF formula: {f!r}")
+
+    root = intern(pnf)
+    preds = tuple(pred_ids)
+    times: list[set[int]] = [set() for _ in preds]
+    seen: set[tuple[int, int]] = set()
+
+    def visit(nid: int, t: int) -> None:
+        seen.add((nid, t))
+        if nodes[nid].pred >= 0:
+            times[nodes[nid].pred].add(t)
+        for c, dt in nodes[nid].pairs:
+            if (c, t + dt) not in seen:
+                visit(c, t + dt)
+
+    visit(root, 0)
+    atoms = [(p, t) for p in range(len(preds)) for t in sorted(times[p])]
+    dims = [max(len(p.coeff_y[i]) for p in preds if i < p.n_agents) for i in range(max((p.n_agents for p in preds), default=0))]
+    coeff_x = np.zeros((len(preds), max((len(p.coeff_x) for p in preds), default=0)))
+    coeff_y = tuple(np.zeros((len(preds), d)) for d in dims)
+    norm_y = np.zeros((len(preds), len(dims)))
+    for p, pred in enumerate(preds):
+        coeff_x[p, : len(pred.coeff_x)] = pred.coeff_x
+        for i, a in enumerate(pred.coeff_y):
+            coeff_y[i][p, : len(a)] = a
+            norm_y[p, i] = float(np.linalg.norm(np.asarray(a, dtype=float)))
+    return CompiledSpec(
+        formula=pnf, horizon=horizon(pnf), root=root, nodes=tuple(nodes), predicates=preds,
+        offsets=np.array([p.offset for p in preds], dtype=float),
+        has_x=np.array([len(p.coeff_x) > 0 for p in preds], dtype=bool),
+        coeff_x=coeff_x,
+        x_terms=tuple(tuple((d, c) for d, c in enumerate(p.coeff_x) if c != 0.0) for p in preds),
+        coeff_y=coeff_y, norm_y=norm_y,
+        atom_pred=np.array([p for p, _ in atoms], dtype=int),
+        atom_tau=np.array([t for _, t in atoms], dtype=int),
+        atom_index={a: j for j, a in enumerate(atoms)},
+        agent_times=tuple(tuple(sorted({t for p, t in atoms if norm_y[p, i] != 0.0})) for i in range(len(dims))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +751,6 @@ class JointTrajectory:
 
     def state(self, t: int):
         return self.xs[t], [y[t] for y in self.ys]
-
-    @staticmethod
-    def from_agents(ys: Sequence[np.ndarray], n_x: int = 1) -> "JointTrajectory":
-        ys = tuple(np.asarray(y, dtype=float) for y in ys)
-        T = ys[0].shape[0]
-        return JointTrajectory(np.zeros((T, n_x)), ys)
 
 
 def _require_window(f: Formula, traj: JointTrajectory, k: int) -> None:

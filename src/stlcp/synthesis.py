@@ -30,7 +30,7 @@ from .encoding import (
     suggest_assignment,
 )
 from .milp import MilpModel, Solution, dive_solve, solve_bb
-from .stl import JointTrajectory, collect_predicates, eval_boolean, eval_robustness, horizon, to_pnf
+from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval_robustness
 
 DYNAMICS_TOL = 1e-7
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -248,9 +248,6 @@ class StepModel:
             return None
         return vec
 
-    def states_from_vector(self, x_full: np.ndarray) -> np.ndarray:
-        return self.plan_states(x_full)
-
     def make_heuristic(self):
         """Node callback: read a candidate plan off the fractional LP states
         and dive on the binaries it suggests.  Rate limited and deduplicated;
@@ -287,10 +284,11 @@ def build_step_model(
     big_m: float | None = None,
 ) -> StepModel:
     """Assemble the step-k MILP: dynamics/box/mixed rows plus the encoded
-    specification with the observed prefix folded out."""
-    spec = to_pnf(spec)
-    t_phi = horizon(spec)
-    if not math.isfinite(t_phi) or t_phi < 1:
+    specification with the observed prefix folded out.  spec is a formula or
+    the compile_spec of one; loops that build many steps pass the latter."""
+    cs = spec if isinstance(spec, CompiledSpec) else compile_spec(spec)
+    t_phi = cs.horizon
+    if t_phi < 1:
         raise SynthesisError("specification horizon must be a positive integer")
     if not 0 <= k < t_phi:
         raise SynthesisError(f"step {k} outside 0..{t_phi - 1}")
@@ -298,23 +296,15 @@ def build_step_model(
         if tau not in xs_obs:
             raise SynthesisError(f"missing observed state for time {tau}")
 
-    needed_future: set[tuple[int, int]] = set()
-    insufficient = False
-    for pred, times in collect_predicates(spec, base_time=0):
-        for i, coeff in enumerate(pred.coeff_y):
-            if not any(c != 0.0 for c in coeff):
-                continue
-            for tau in times:
-                if tau <= k:
-                    if (tau, i) not in ys_obs:
-                        raise SynthesisError(f"missing observed agent {i} at time {tau}")
-                else:
-                    needed_future.add((tau, i))
-    for tau, i in sorted(needed_future):
+    for i, times in enumerate(cs.agent_times):
+        for tau in times:
+            if tau <= k and (tau, i) not in ys_obs:
+                raise SynthesisError(f"missing observed agent {i} at time {tau}")
+    future = sorted((tau, i) for i, times in enumerate(cs.agent_times) for tau in times if tau > k)
+    for tau, i in future:
         if (tau, i) not in predictions:
             raise SynthesisError(f"missing prediction for agent {i} at time {tau}")
-        if math.isinf(float(radius(tau, i))):
-            insufficient = True
+    insufficient = any(math.isinf(float(radius(tau, i))) for tau, i in future)
 
     model = MilpModel(name=f"step{k}")
     x_vars = {
@@ -367,11 +357,11 @@ def build_step_model(
         mode=mode,
         big_m=big_m,
     )
-    enc = encode(ctx, spec)
+    enc = encode(ctx, cs)
     root = require(ctx, enc)
 
     sm = StepModel(
-        model=model, ctx=ctx, enc=enc, root=root, sys=sys, spec=spec,
+        model=model, ctx=ctx, enc=enc, root=root, sys=sys, spec=cs.formula,
         k=k, t_phi=t_phi, x_vars=x_vars, u_vars=u_vars, insufficient=insufficient,
     )
     _apply_cost(sm, cost, xs_obs)
@@ -567,9 +557,9 @@ def run_closed_loop(
     previous one.  Aborts on the first infeasible step: a fallback control
     would void the guarantee.
     """
-    spec = to_pnf(spec)
-    t_phi = horizon(spec)
-    if not math.isfinite(t_phi) or t_phi < 1:
+    cs = compile_spec(spec)
+    t_phi = cs.horizon
+    if t_phi < 1:
         raise SynthesisError("specification horizon must be a positive integer")
     playback = tuple(np.asarray(y, dtype=float) for y in playback)
     for i, y in enumerate(playback):
@@ -604,7 +594,7 @@ def run_closed_loop(
         preds = predict(k)
         step_cost = cost(k) if callable(cost) else cost
         sm = build_step_model(
-            sys, spec, k, {tau: xs[tau] for tau in range(k + 1)}, dict(ys_obs), preds,
+            sys, cs, k, {tau: xs[tau] for tau in range(k + 1)}, dict(ys_obs), preds,
             lambda tau, i, _k=k: radius(_k, tau, i), mode=mode, cost=step_cost,
         )
         if prev_xs is not None:
@@ -650,8 +640,8 @@ def run_closed_loop(
 
     trimmed = tuple(y[: t_phi + 1] for y in playback)
     traj = JointTrajectory(xs, trimmed)
-    satisfied = bool(eval_boolean(spec, traj, 0))
-    rho = float(eval_robustness(spec, traj, 0))
+    satisfied = bool(eval_boolean(cs.formula, traj, 0))
+    rho = float(eval_robustness(cs.formula, traj, 0))
     recovered = None
     if sys.input_recover is not None:
         recovered = np.stack([np.atleast_1d(sys.input_recover(k, xs[k], us[k])) for k in range(t_phi)])

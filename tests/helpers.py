@@ -5,11 +5,14 @@ deliberately avoids reusing library internals, so tests compare two
 independent routes to the same answer.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from stlcp import stl
+from stlcp.encoding import EncodingError, LinExpr
+from stlcp.milp import MilpModel, Solution, _Arrays, _solve_fixed
 
 
 # ---------------------------------------------------------------------------
@@ -143,3 +146,140 @@ def grid_min_over_balls(coeff_y, centers, radii, step=1e-3):
             pts = c[None, :]
         total += float(np.min(pts @ a))
     return total
+
+
+# ---------------------------------------------------------------------------
+# brute-force MILP reference
+
+
+def brute_force_solve(model: MilpModel, max_binaries: int = 20) -> Solution:
+    """Enumerate every binary assignment and solve the remaining LPs.
+
+    Oracle-grade reference for solve_bb; guarded to small instances.
+    """
+    binaries = model.binary_ids()
+    if len(binaries) > max_binaries:
+        raise ValueError(f"{len(binaries)} binaries exceed brute-force guard of {max_binaries}")
+    c, A, eq, b, lb, ub = model.arrays()
+    arr = _Arrays(c, A, eq, b, lb, ub)
+    best = None
+    best_obj = math.inf
+    iters = 0
+    saw_unbounded = False
+    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        fixed = dict(zip(binaries, bits))
+        if any(not (model.vars[j].lb <= v <= model.vars[j].ub) for j, v in fixed.items()):
+            continue
+        status, x, obj, it = _solve_fixed(arr, fixed)
+        iters += it
+        if status == "unbounded":
+            saw_unbounded = True
+        if status == "optimal" and obj < best_obj - 1e-12:
+            best, best_obj = x, obj
+    if best is None:
+        return Solution("unbounded" if saw_unbounded else "infeasible", iterations=iters)
+    return Solution("optimal", best, best_obj + model.obj_const, iterations=iters, nodes=2 ** len(binaries))
+
+
+
+
+# ---------------------------------------------------------------------------
+# direct tightening and folding over the formula AST: the encoder's atom
+# table and its three-valued fold are checked against these
+
+
+def oracle_collect_predicates(f, base_time=0):
+    """Distinct predicates of a PNF formula with their sorted occurrence
+    times, in first-visit order of an unmemoized walk."""
+    order, times = [], {}
+
+    def visit(g, t):
+        if isinstance(g, stl.Pred):
+            if g.predicate not in times:
+                order.append(g.predicate)
+                times[g.predicate] = set()
+            times[g.predicate].add(t)
+        elif isinstance(g, (stl.And, stl.Or)):
+            for c in g.children:
+                visit(c, t)
+        elif isinstance(g, (stl.Always, stl.Eventually)):
+            for tp in range(t + g.a, t + g.b + 1):
+                visit(g.child, tp)
+        elif isinstance(g, stl.Until):
+            for tp in range(t + g.a, t + g.b + 1):
+                visit(g.right, tp)
+                for tpp in range(t, tp + 1):
+                    visit(g.left, tpp)
+
+    visit(f, base_time)
+    return [(p, tuple(sorted(times[p]))) for p in order]
+
+
+def oracle_atom_expr(ctx, pred, tau):
+    """Tightened value of an atom at absolute time tau, one atom at a time:
+    a float if fully observed or agent-only, else a LinExpr over the state
+    variables."""
+    expr = LinExpr(const=pred.offset)
+    if pred.coeff_x:
+        if tau <= ctx.k:
+            xs = ctx.observed_x[tau]
+            expr.const += float(np.dot(pred.coeff_x, xs[: len(pred.coeff_x)]))
+        else:
+            try:
+                vids = ctx.state_vars[tau]
+            except KeyError:
+                raise EncodingError(f"no state variables registered for time {tau}") from None
+            for d, coef in enumerate(pred.coeff_x):
+                expr.add_term(vids[d], coef)
+    for i, a in enumerate(pred.coeff_y):
+        a = np.asarray(a, dtype=float)
+        nrm = float(np.linalg.norm(a))
+        if nrm == 0.0:
+            continue
+        if tau <= ctx.k:
+            expr.const += float(np.dot(a, ctx.observed_y[(tau, i)]))
+        else:
+            center = ctx.predicted_y[(tau, i)]
+            r = float(ctx.radius(tau, i))
+            expr.const += float(np.dot(a, center))
+            if math.isinf(r):
+                expr.const = -math.inf
+                break
+            expr.const -= r * nrm
+    if expr.const == -math.inf:
+        return -math.inf
+    if expr.is_const:
+        return expr.const
+    return expr
+
+
+def oracle_until_witness(f, d2):
+    parts = [stl.Always(d2, d2, f.right)] + [stl.Always(d, d, f.left) for d in range(d2 + 1)]
+    return stl.And(tuple(parts))
+
+
+def oracle_children(f, tau):
+    """(kind, [(child, time), ...]) of one layer; until expands to its
+    witnesses, as the encoder does."""
+    if isinstance(f, stl.Until):
+        return "or", [(oracle_until_witness(f, d2), tau) for d2 in range(f.a, f.b + 1)]
+    if isinstance(f, (stl.And, stl.Or)):
+        return ("and" if isinstance(f, stl.And) else "or"), [(c, tau) for c in f.children]
+    kind = "and" if isinstance(f, stl.Always) else "or"
+    return kind, [(f.child, t) for t in range(tau + f.a, tau + f.b + 1)]
+
+
+def oracle_known_truth(ctx, f, tau):
+    """Three-valued fold: True/False when the observed prefix (or an
+    agent-only tightened constant) decides f at tau, None otherwise."""
+    if isinstance(f, stl.TrueNode):
+        return True
+    if isinstance(f, stl.Pred):
+        e = oracle_atom_expr(ctx, f.predicate, tau)
+        return e >= 0.0 if isinstance(e, float) else None
+    kind, pairs = oracle_children(f, tau)
+    bits = [oracle_known_truth(ctx, c, t) for c, t in pairs]
+    decisive = kind == "or"
+    if any(b is decisive for b in bits):
+        return decisive
+    return (not decisive) if all(b is not None for b in bits) else None

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from helpers import (
+    brute_force_solve,
     grid_min_over_balls,
     oracle_quantile,
     oracle_robustness,
@@ -23,7 +24,7 @@ from test_milp import random_milp
 
 from stlcp import stl
 from stlcp.casestudies.robot import (
-    _follower_hint,
+    follower_hint,
     build_robot_specs,
     robot_system,
     run_follower_experiment,
@@ -44,7 +45,7 @@ from stlcp.conformal import (
     validate_coverage,
 )
 from stlcp.encoding import kkt_certificate, suggest_assignment, tightened_offset
-from stlcp.milp import brute_force_solve, dive_solve, solve_bb, solve_lp
+from stlcp.milp import dive_solve, solve_bb, solve_lp
 from stlcp.prediction import fit_predictor
 from stlcp.synthesis import CostSpec, build_step_model, synthesize_open_loop
 
@@ -181,7 +182,7 @@ def test_c06_encoding_soundness(leader_bundle):
     table = b.predictor.table
     predictions = {(tau, 0): table.get(0, tau, 0) for tau in range(1, t_phi + 1)}
     y0 = np.asarray(b.dataset.subset("train")[0].ys[0][0], dtype=float)
-    hint = _follower_hint(sc)
+    hint = follower_hint(sc)
     deltas = (0.05, 0.1, 0.15, 0.2)
     rng = np.random.default_rng(29)
 

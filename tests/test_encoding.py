@@ -3,8 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_min_over_balls, oracle_boolean, oracle_robustness, random_formula
+from helpers import (
+    grid_min_over_balls,
+    oracle_atom_expr,
+    oracle_boolean,
+    oracle_children,
+    oracle_collect_predicates,
+    oracle_known_truth,
+    oracle_robustness,
+    random_formula,
+)
 from stlcp import stl
+from stlcp.casestudies import (
+    RobotScenario,
+    TemperatureScenario,
+    build_robot_specs,
+    build_temperature_spec,
+    robot_system,
+    temperature_reformulate,
+)
+from stlcp.casestudies.robot import follower_hint
 from stlcp.encoding import (
     EPS,
     EPS_ROBUST,
@@ -12,6 +30,9 @@ from stlcp.encoding import (
     EncodingContext,
     EncodingError,
     LinExpr,
+    _AtomTable,
+    _known_truth,
+    _QualState,
     encode,
     kkt_certificate,
     require,
@@ -20,6 +41,7 @@ from stlcp.encoding import (
     tightened_offset,
 )
 from stlcp.milp import MilpModel, solve_bb
+from stlcp.synthesis import build_step_model
 
 
 def pred_xy(cx, cy, offset, name="p"):
@@ -135,6 +157,114 @@ class TestTightening:
         p = pred_xy([], [(1.0,)], 0.0)
         with pytest.raises(EncodingError, match="positive radius"):
             kkt_certificate(p, [np.array([0.0])], [0.0])
+
+
+def assert_table_matches_oracle(ctx, cs, table):
+    """Every atom instance equals the one-atom-at-a-time tightening exactly,
+    and the three-valued fold equals the recursive one at every node and
+    time the walk from the root reaches."""
+    want = [(p, t) for p, ts in oracle_collect_predicates(cs.formula) for t in ts]
+    got = [(cs.predicates[p], t) for p, t in zip(cs.atom_pred.tolist(), cs.atom_tau.tolist())]
+    assert got == want
+    for j, (p, tau) in enumerate(zip(cs.atom_pred.tolist(), cs.atom_tau.tolist())):
+        ref = oracle_atom_expr(ctx, cs.predicates[p], tau)
+        assert type(table.const[j]) is float
+        if isinstance(ref, float):
+            assert not table.linear[j]
+            assert table.const[j] == ref
+            assert table.truth[j] is (ref >= 0.0)
+        else:
+            assert table.linear[j] and table.truth[j] is None
+            assert table.const[j] == ref.const
+            vids = ctx.state_vars[tau]
+            assert {vids[d]: c for d, c in cs.x_terms[p]} == ref.coeffs
+    state = _QualState(table, table.truth)
+    seen = set()
+
+    def walk(f, nid, tau):
+        if (nid, tau) in seen:
+            return
+        seen.add((nid, tau))
+        assert _known_truth(state, nid, tau) is oracle_known_truth(ctx, f, tau)
+        if isinstance(f, (stl.TrueNode, stl.Pred)):
+            return
+        _, pairs = oracle_children(f, tau)
+        node = cs.nodes[nid]
+        assert len(pairs) == len(node.pairs)
+        for (child, t), (cid, dt) in zip(pairs, node.pairs):
+            assert t == tau + dt
+            walk(child, cid, t)
+
+    walk(cs.formula, cs.root, 0)
+    return len(seen)
+
+
+def robot_step_model(k, radius=0.4):
+    sc = RobotScenario()
+    xs = follower_hint(sc)
+    lead = xs[:, [0, 2]] + np.array([0.3, -0.2])
+    return build_step_model(
+        robot_system(sc), build_robot_specs(sc)[0], k,
+        {tau: xs[tau] for tau in range(k + 1)}, {(tau, 0): lead[tau] for tau in range(k + 1)},
+        {(tau, 0): lead[tau] + 0.05 * tau for tau in range(k + 1, sc.horizon + 1)},
+        lambda tau, i: radius + 0.01 * tau,
+    )
+
+
+def temperature_step_model(k):
+    sc = TemperatureScenario()
+    t_phi = stl.horizon(build_temperature_spec(sc.horizon, sc.comfort_gap))
+    rooms = [20.0 + 0.5 * np.arange(t_phi + 1), 24.0 - 0.25 * np.arange(t_phi + 1)]
+    return build_step_model(
+        temperature_reformulate(sc), build_temperature_spec(sc.horizon, sc.comfort_gap), k,
+        {tau: np.array([sc.x0 + 6.0 * tau]) for tau in range(k + 1)},
+        {(tau, i): np.array([rooms[i][tau]]) for tau in range(k + 1) for i in range(2)},
+        {(tau, i): np.array([rooms[i][tau] + 0.3]) for tau in range(k + 1, t_phi + 1) for i in range(2)},
+        lambda tau, i: 1.5 + 0.1 * tau,
+    )
+
+
+class TestAtomTable:
+    @pytest.mark.parametrize("k", [0, 7, 15])
+    def test_robot_follower_matches_oracle(self, k):
+        sm = robot_step_model(k)
+        assert assert_table_matches_oracle(sm.ctx, sm.enc.atoms.spec, sm.enc.atoms) > 100
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_temperature_matches_oracle(self, k):
+        sm = temperature_step_model(k)
+        assert assert_table_matches_oracle(sm.ctx, sm.enc.atoms.spec, sm.enc.atoms) > 30
+
+    def test_random_formulas_match_oracle(self):
+        rng = np.random.default_rng(4242)
+        folded = infinite = 0
+        for _ in range(200):
+            n_x = int(rng.integers(1, 3))
+            agent_dims = tuple(int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 3))))
+            cs = stl.compile_spec(random_formula(rng, n_x, agent_dims, depth=3, max_interval=3))
+            k = int(rng.integers(0, cs.horizon + 1))
+            ctx, radii = make_ctx(MilpModel(), cs.horizon, k, n_x, agent_dims, rng)
+            for key in radii:
+                if rng.random() < 0.1:
+                    radii[key] = math.inf
+                    infinite += 1
+            table = _AtomTable(ctx, cs)
+            assert_table_matches_oracle(ctx, cs, table)
+            folded += sum(not lin for lin in table.linear)
+        assert folded > 500 and infinite > 20
+
+    def test_until_witnesses_are_shared_nodes(self):
+        p = stl.Pred(pred_xy([1.0], [(0.0,)], 0.0, name="p"))
+        q = stl.Pred(pred_xy([-1.0], [(1.0,)], 2.0, name="q"))
+        cs = stl.compile_spec(stl.And((stl.Until(0, 2, p, q), stl.Always(0, 0, p))))
+        (until, _), (always_p, _) = cs.nodes[cs.root].pairs
+        assert cs.nodes[until].name == "until" and cs.nodes[until].op == "or"
+        witnesses = [cs.nodes[w] for w, _ in cs.nodes[until].pairs]
+        assert [len(w.pairs) for w in witnesses] == [2, 3, 4]
+        # the witnesses' G[0,0] p is the spec's own G[0,0] p node
+        assert all((always_p, 0) in w.pairs for w in witnesses)
+        assert len(set(cs.nodes)) == len(cs.nodes)
+        assert [pr.name for pr in cs.predicates] == ["q", "p"]  # right operand first, as in collect_predicates
 
 
 class TestBigM:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import brute_force_solve
 from stlcp.milp import (
     MilpModel,
     Solution,
-    brute_force_solve,
     solve_bb,
     solve_lp,
     write_lp,

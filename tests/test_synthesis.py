@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import oracle_boolean, oracle_robustness
-from stlcp import stl
+from stlcp import stl, synthesis
+from stlcp.casestudies import (
+    RobotScenario,
+    TemperatureScenario,
+    build_robot_specs,
+    build_temperature_spec,
+    robot_system,
+    temperature_reformulate,
+)
+from stlcp.casestudies.robot import follower_hint
 from stlcp.synthesis import (
     ControlResult,
     CostSpec,
@@ -384,6 +393,60 @@ class TestClosedLoop:
         assert csv1.read_bytes() == csv2.read_bytes()
         head = csv1.read_text().split("\n")[0]
         assert head == "k,x0,u0,y0_0"
+
+
+def model_size(sm):
+    return sm.model.n_vars, len(sm.model.rows), len(sm.model.binary_ids())
+
+
+class TestStepModelStructure:
+    """Step-0 model sizes of the two case studies, as bench/README.md
+    records them; the compiled encoder must emit the same models."""
+
+    def robot_step0(self, **kw):
+        sc = RobotScenario()
+        lead = follower_hint(sc)[:, [0, 2]] + 0.3
+        return build_step_model(
+            robot_system(sc), build_robot_specs(sc)[0], 0, {0: np.array(sc.x0)}, {(0, 0): lead[0]},
+            {(tau, 0): lead[tau] for tau in range(1, sc.horizon + 1)}, lambda tau, i: 0.5, **kw,
+        )
+
+    def test_qual_follower(self):
+        assert model_size(self.robot_step0()) == (363, 497, 243)
+
+    def test_quant_follower(self):
+        sm = self.robot_step0(mode="quant", cost=CostSpec("max-robustness"))
+        assert model_size(sm) == (726, 1161, 475)
+
+    def test_temperature(self):
+        sc = TemperatureScenario()
+        spec = build_temperature_spec(sc.horizon, sc.comfort_gap)
+        t_phi = stl.horizon(spec)
+        sm = build_step_model(
+            temperature_reformulate(sc), spec, 0, {0: np.array([sc.x0])},
+            {(0, 0): np.array([20.0]), (0, 1): np.array([24.0])},
+            {(tau, i): np.array([21.0 + i]) for tau in range(1, t_phi + 1) for i in range(2)},
+            lambda tau, i: 1.5,
+        )
+        assert model_size(sm) == (66, 156, 38)
+
+    def test_closed_loop_compiles_spec_once_per_run(self, monkeypatch):
+        calls = []
+        real = synthesis.compile_spec
+        monkeypatch.setattr(synthesis, "compile_spec", lambda f: calls.append(f) or real(f))
+        sys = integrator()
+        spec = stl.Always(0, 5, stl.Or((atom([1.0], [(-1.0,)], 3.0), atom([1.0], [(1.0,)], 3.0))))
+        y_true = 0.1 * np.arange(6).reshape(-1, 1)
+        res = run_closed_loop(
+            sys, spec, (y_true,), lambda k: {(t, 0): y_true[t] for t in range(k + 1, 6)},
+            lambda k, tau, i: 0.5, reuse_plan=False,
+        )
+        assert res.status == "optimal" and len(res.records) == 5
+        assert len(calls) == 1
+        # a plain formula passed straight to build_step_model is compiled on entry
+        build_step_model(sys, spec, 0, {0: sys.x0}, {(0, 0): y_true[0]},
+                         {(t, 0): y_true[t] for t in range(1, 6)}, lambda tau, i: 0.5)
+        assert len(calls) == 2
 
 
 class TestGuarantee:
