@@ -290,7 +290,7 @@ def _solve_leader_nominal(sys: SystemModel, spec: Formula, sc: RobotScenario):
     assign = suggest_assignment(sm.ctx, sm.enc, hint)
     sol = dive_solve(sm.model, assign)
     if sol.status != "optimal":
-        sol = solve_bb(sm.model, hint=assign, heuristic=sm.make_heuristic())
+        sol = solve_bb(sm.model, hint=assign)
     if sol.status != "optimal":
         raise RuntimeError(f"leader nominal plan is {sol.status}")
     return sm.plan_states(sol.x), sm.plan_inputs(sol.x)
@@ -393,7 +393,7 @@ def _rollout_leader(
             sol = dive_solve(sm.model, assign)
             stats.dives += 1
             if sol.status != "optimal":
-                sol = solve_bb(sm.model, hint=assign, heuristic=sm.make_heuristic())
+                sol = solve_bb(sm.model, hint=assign)
                 stats.searches += 1
             if sol.status != "optimal":
                 return None
@@ -471,9 +471,8 @@ def mean_path_predictor(train: Sequence[AgentTrajectory], t_phi: int) -> FilePre
         raise ValueError("training trajectories shorter than the horizon")
     table = PredictionTable(t_phi, train[0].dims)
     for k in range(t_phi):
-        for tau in range(k + 1, t_phi + 1):
-            for i in range(n_agents):
-                table.set(k, tau, i, means[i][tau])
+        for i in range(n_agents):
+            table.set_rows(k, i, means[i][k + 1 : t_phi + 1])
     return FilePredictor(table)
 
 

@@ -52,19 +52,6 @@ class LinExpr:
         self.coeffs = dict(coeffs) if coeffs else {}
         self.const = float(const)
 
-    def add_term(self, vid: int, coef: float) -> None:
-        if coef == 0.0:
-            return
-        new = self.coeffs.get(vid, 0.0) + coef
-        if new == 0.0:
-            self.coeffs.pop(vid, None)
-        else:
-            self.coeffs[vid] = new
-
-    @property
-    def is_const(self) -> bool:
-        return not self.coeffs
-
     def value(self, assignment: dict[int, float]) -> float:
         return self.const + sum(c * assignment[v] for v, c in self.coeffs.items())
 
@@ -117,20 +104,6 @@ class Encoding:
 
 # ---------------------------------------------------------------------------
 # atom tightening
-
-
-def tightened_offset(pred: AffinePredicate, centers: Sequence[np.ndarray], radii: Sequence[float]) -> float:
-    """Worst case of the agent part of an atom over the prediction balls:
-    min over y_i in Ball(centers[i], radii[i]) of sum_i a_i . y_i, plus the
-    predicate offset."""
-    total = pred.offset
-    for a, c, r in zip(pred.coeff_y, centers, radii):
-        a = np.asarray(a, dtype=float)
-        nrm = float(np.linalg.norm(a))
-        if nrm == 0.0:
-            continue
-        total += float(np.dot(a, c)) - r * nrm
-    return total
 
 
 @dataclass(frozen=True)

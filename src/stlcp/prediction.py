@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -115,36 +115,64 @@ def split_dataset(
 # prediction tables
 
 
-@dataclass
 class PredictionTable:
-    """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi."""
+    """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi.
 
-    t_phi: int
-    dims: tuple[int, ...]
-    entries: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
+    One array holds them all, a row per pair k < tau in (k, tau) order:
+    values[row] concatenates the agents' predictions, and known[row, i]
+    marks the entries set.  A closed-loop run keeps its table, and a dict of
+    one small array per entry cost about twenty times the memory."""
+
+    def __init__(self, t_phi: int, dims: tuple[int, ...]):
+        self.t_phi = t_phi
+        self.dims = tuple(dims)
+        self._start = [0] + np.cumsum(self.dims).tolist()
+        # row of (k, tau) is _first[k] + tau - k - 1
+        self._first = [k * t_phi - k * (k - 1) // 2 for k in range(t_phi + 1)]
+        self.values = np.zeros((self._first[-1], self._start[-1]))
+        self.known = np.zeros((self._first[-1], len(self.dims)), dtype=bool)
+
+    def _row(self, k: int, tau: int) -> int:
+        if not 0 <= k < tau <= self.t_phi:
+            raise KeyError((k, tau))
+        return self._first[k] + tau - k - 1
 
     def set(self, k: int, tau: int, agent: int, value) -> None:
         v = np.asarray(value, dtype=float).reshape(-1)
         if v.shape[0] != self.dims[agent]:
             raise ValueError("prediction dimension mismatch")
-        self.entries[(k, tau, agent)] = v
+        r = self._row(k, tau)
+        self.values[r, self._start[agent] : self._start[agent + 1]] = v
+        self.known[r, agent] = True
+
+    def set_rows(self, k: int, agent: int, rows) -> None:
+        """Predictions made at time k for tau = k+1..t_phi, one row each."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape != (self.t_phi - k, self.dims[agent]):
+            raise ValueError("prediction dimension mismatch")
+        block = slice(self._first[k], self._first[k + 1])
+        self.values[block, self._start[agent] : self._start[agent + 1]] = rows
+        self.known[block, agent] = True
 
     def get(self, k: int, tau: int, agent: int) -> np.ndarray:
-        return self.entries[(k, tau, agent)]
+        r = self._row(k, tau)
+        if not self.known[r, agent]:
+            raise KeyError((k, tau, agent))
+        return self.values[r, self._start[agent] : self._start[agent + 1]]
 
     def row(self, k: int) -> dict[tuple[int, int], np.ndarray]:
         """Predictions made at time k, keyed by (tau, agent)."""
+        block = slice(self._first[k], self._first[k + 1])
+        values, known = self.values[block], self.known[block].tolist()
         return {
-            (tau, i): v for (kk, tau, i), v in self.entries.items() if kk == k
+            (k + 1 + j, i): values[j, self._start[i] : self._start[i + 1]]
+            for j in range(self.t_phi - k)
+            for i in range(len(self.dims))
+            if known[j][i]
         }
 
     def is_complete(self) -> bool:
-        for k in range(self.t_phi):
-            for tau in range(k + 1, self.t_phi + 1):
-                for i in range(len(self.dims)):
-                    if (k, tau, i) not in self.entries:
-                        return False
-        return True
+        return bool(self.known.all())
 
 
 def prediction_table(predictor, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
@@ -155,8 +183,7 @@ def prediction_table(predictor, traj: AgentTrajectory, t_phi: int) -> Prediction
     for k in range(t_phi):
         preds = predictor.predict(traj.history(k), k, t_phi)
         for i, rows in enumerate(preds):
-            for j, tau in enumerate(range(k + 1, t_phi + 1)):
-                table.set(k, tau, i, rows[j])
+            table.set_rows(k, i, rows)
     return table
 
 
@@ -343,8 +370,9 @@ def save_prediction_table(table: PredictionTable, path) -> None:
         "t_phi": table.t_phi,
         "dims": list(table.dims),
         "entries": [
-            {"k": k, "tau": tau, "agent": i, "y": table.entries[(k, tau, i)].tolist()}
-            for (k, tau, i) in sorted(table.entries)
+            {"k": k, "tau": tau, "agent": i, "y": y.tolist()}
+            for k in range(table.t_phi)
+            for (tau, i), y in table.row(k).items()
         ],
     }
     with open(path, "w") as fh:

@@ -41,7 +41,8 @@ class SynthesisError(ValueError):
 
 
 class MilpConsistencyError(RuntimeError):
-    """Planned states disagree with simulating the planned inputs."""
+    """A plan violates its own step model, or its states disagree with
+    simulating its inputs."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +249,6 @@ class StepModel:
             return None
         return vec
 
-    def make_heuristic(self):
-        """Node callback: read a candidate plan off the fractional LP states
-        and dive on the binaries it suggests.  Rate limited and deduplicated;
-        the LP cost of a dive only pays off while incumbents are scarce."""
-        seen: set = set()
-        calls = 0
-
-        def heur(x_lp: np.ndarray):
-            nonlocal calls
-            calls += 1
-            if calls > 4 and calls % 8 != 0:
-                return None
-            assign = suggest_assignment(self.ctx, self.enc, self.plan_states(x_lp))
-            key = tuple(sorted(assign.items()))
-            if key in seen:
-                return None
-            seen.add(key)
-            return assign
-
-        return heur
-
 
 def build_step_model(
     sys: SystemModel,
@@ -454,6 +434,20 @@ def _root_value(sm: StepModel, sol: Solution) -> float | None:
     return float(r) if isinstance(r, float) else None
 
 
+def _checked(sm: StepModel, sol: Solution, source: str) -> Solution:
+    """Every dive or search plan is checked against its step model before it
+    is applied, as reused plans are, within the row tolerance the LP core
+    itself accepts."""
+    if sol.status == "optimal":
+        viol = sm.model.check_solution(sol.x, sm.model.feasibility_tol())
+        if viol:
+            worst = max(viol, key=lambda v: v["amount"])
+            raise MilpConsistencyError(
+                f"{source} plan at step {sm.k} violates {worst['kind']} {worst['name']} by {worst['amount']:.3e}"
+            )
+    return sol
+
+
 def _solve_step(
     sm: StepModel,
     hint_xs: np.ndarray | None,
@@ -471,11 +465,11 @@ def _solve_step(
     if hint_xs is not None:
         hint = suggest_assignment(sm.ctx, sm.enc, hint_xs)
     if hint and accept_dive:
-        sol = dive_solve(sm.model, hint)
+        sol = _checked(sm, dive_solve(sm.model, hint), "dive")
         if sol.status == "optimal":
             return sol, "dive"
-    sol = solve_bb(sm.model, node_limit=node_limit, hint=hint, heuristic=sm.make_heuristic())
-    return sol, "search"
+    sol = solve_bb(sm.model, node_limit=node_limit, hint=hint)
+    return _checked(sm, sol, "search"), "search"
 
 
 def _failure_status(sm: StepModel, sol: Solution) -> str:
@@ -509,7 +503,7 @@ def synthesize_open_loop(
         mode=mode, cost=cost, big_m=big_m,
     )
     hint = suggest_assignment(sm.ctx, sm.enc, hint_xs) if hint_xs is not None else None
-    sol = solve_bb(sm.model, node_limit=node_limit, hint=hint, heuristic=sm.make_heuristic())
+    sol = _checked(sm, solve_bb(sm.model, node_limit=node_limit, hint=hint), "search")
     if sol.status != "optimal":
         return ControlResult(status=_failure_status(sm, sol), nodes=sol.nodes, iterations=sol.iterations)
     xs = sm.plan_states(sol.x)

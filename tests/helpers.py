@@ -5,14 +5,16 @@ deliberately avoids reusing library internals, so tests compare two
 independent routes to the same answer.
 """
 
+import heapq
 import itertools
 import math
+import os
 
 import numpy as np
 
-from stlcp import stl
-from stlcp.encoding import EncodingError, LinExpr
-from stlcp.milp import MilpModel, Solution, _Arrays, _solve_fixed
+from stlcp import encoding, stl
+from stlcp.encoding import EncodingError
+from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT_ENV, MilpModel, Solution, _Arrays, _solve_fixed
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,160 @@ def brute_force_solve(model: MilpModel, max_binaries: int = 20) -> Solution:
     return Solution("optimal", best, best_obj + model.obj_const, iterations=iters, nodes=2 ** len(binaries))
 
 
+def oracle_solve_bb(
+    model: MilpModel,
+    gap_tol: float = GAP_TOL,
+    int_tol: float = INTEGRALITY_TOL,
+    node_limit: int | None = None,
+    hint: dict[int, int] | None = None,
+    log: list | None = None,
+) -> Solution:
+    """Cold best-first branch and bound: every node re-solves its LP from
+    scratch with its binaries substituted out (one _solve_fixed per node).
+    The reference the warm-started solve_bb is checked against.
+
+    hint: a full 0/1 assignment of the binaries to try first ("dive"); if the
+    resulting LP is feasible it becomes the starting incumbent, and with a
+    constant objective the solve finishes without touching the relaxation.
+    """
+    if node_limit is None:
+        node_limit = int(os.environ.get(NODE_LIMIT_ENV, "200000"))
+    c, A, eq, b, lb, ub = model.arrays()
+    arr = _Arrays(c, A, eq, b, lb, ub)
+    binaries = model.binary_ids()
+    tied_down = {j for j in binaries if model.vars[j].lb == model.vars[j].ub}
+    zero_obj = not np.any(c != 0.0)
+
+    best_x = None
+    best_obj = math.inf
+    total_iters = 0
+    nodes = 0
+
+    def record(event: str, **kw):
+        if log is not None:
+            log.append({"event": event, "node": nodes, "incumbent": None if best_x is None else best_obj, **kw})
+
+    def dive(assign: dict[int, int]):
+        nonlocal best_x, best_obj, total_iters
+        fixed = {j: float(assign[j]) for j in binaries if j in assign}
+        if len(fixed) != len(binaries):
+            return False
+        status, x, obj, iters = _solve_fixed(arr, fixed)
+        total_iters += iters
+        if status == "optimal" and obj < best_obj - 1e-12:
+            best_x, best_obj = x, obj
+            record("incumbent", bound=obj, source="dive")
+            return True
+        return False
+
+    if hint is not None:
+        merged = dict(hint)
+        for j in tied_down:
+            merged[j] = int(model.vars[j].lb)
+        dive(merged)
+        if best_x is not None and zero_obj:
+            return Solution("optimal", best_x, best_obj + model.obj_const, total_iters, nodes, 0.0)
+
+    if not binaries:
+        status, x, obj, iters = _solve_fixed(arr, {})
+        if status != "optimal":
+            return Solution(status, iterations=iters)
+        return Solution("optimal", x, obj + model.obj_const, iters, 1, 0.0)
+
+    seq = itertools.count()
+    heap: list = []
+
+    def push(bound, fixed):
+        heapq.heappush(heap, (bound, next(seq), fixed))
+
+    push(-math.inf, {j: float(model.vars[j].lb) for j in tied_down})
+    status_out = "optimal"
+    while heap:
+        bound, _, fixed = heapq.heappop(heap)
+        if best_x is not None and bound >= best_obj - gap_tol:
+            heap.clear()
+            break
+        if nodes >= node_limit:
+            status_out = "limit"
+            break
+        nodes += 1
+        status, x, obj, iters = _solve_fixed(arr, fixed)
+        total_iters += iters
+        if status == "limit":
+            status_out = "limit"
+            break
+        if status == "unbounded":
+            return Solution("unbounded", iterations=total_iters, nodes=nodes)
+        if status != "optimal":
+            record("pruned-infeasible")
+            continue
+        if best_x is not None and obj >= best_obj - gap_tol:
+            record("pruned-bound", bound=obj)
+            continue
+        frac = [j for j in binaries if j not in fixed and min(x[j], 1.0 - x[j]) > int_tol]
+        if not frac:
+            cand = x.copy()
+            for j in binaries:
+                cand[j] = round(cand[j])
+            if obj < best_obj - 1e-12:
+                best_x, best_obj = cand, obj
+                record("incumbent", bound=obj, source="node")
+            if zero_obj:
+                break
+            continue
+        # most fractional, lowest id on ties
+        scores = [(abs(x[j] - 0.5), j) for j in frac]
+        _, jb = min(scores)
+        first = int(round(x[jb]))
+        for v in (first, 1 - first):
+            child = dict(fixed)
+            child[jb] = float(v)
+            push(obj, child)
+        record("branched", var=jb, bound=obj)
+
+    if best_x is None:
+        return Solution("infeasible" if status_out == "optimal" else status_out, iterations=total_iters, nodes=nodes)
+    open_bounds = [bound for bound, _, _ in heap]
+    gap = max(0.0, best_obj - min(open_bounds)) if open_bounds else 0.0
+    return Solution(status_out, best_x, best_obj + model.obj_const, total_iters, nodes, gap)
+
+
+# ---------------------------------------------------------------------------
+# one-atom-at-a-time tightening helpers, no longer used by the package since
+# the encoder's atom table tightens every atom instance at once
+
+
+class LinExpr(encoding.LinExpr):
+    """The encoder's affine expression plus term-by-term building."""
+
+    __slots__ = ()
+
+    def add_term(self, vid: int, coef: float) -> None:
+        if coef == 0.0:
+            return
+        new = self.coeffs.get(vid, 0.0) + coef
+        if new == 0.0:
+            self.coeffs.pop(vid, None)
+        else:
+            self.coeffs[vid] = new
+
+    @property
+    def is_const(self) -> bool:
+        return not self.coeffs
+
+
+def tightened_offset(pred, centers, radii) -> float:
+    """Worst case of the agent part of an atom over the prediction balls:
+    min over y_i in Ball(centers[i], radii[i]) of sum_i a_i . y_i, plus the
+    predicate offset."""
+    total = pred.offset
+    for a, c, r in zip(pred.coeff_y, centers, radii):
+        a = np.asarray(a, dtype=float)
+        nrm = float(np.linalg.norm(a))
+        if nrm == 0.0:
+            continue
+        total += float(np.dot(a, c)) - r * nrm
+    return total
 
 
 # ---------------------------------------------------------------------------

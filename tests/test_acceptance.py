@@ -19,6 +19,7 @@ from helpers import (
     oracle_robustness,
     random_formula,
     random_trajectory,
+    tightened_offset,
 )
 from test_milp import random_milp
 
@@ -44,7 +45,7 @@ from stlcp.conformal import (
     radii_for_delta,
     validate_coverage,
 )
-from stlcp.encoding import kkt_certificate, suggest_assignment, tightened_offset
+from stlcp.encoding import kkt_certificate, suggest_assignment
 from stlcp.milp import dive_solve, solve_bb, solve_lp
 from stlcp.prediction import fit_predictor
 from stlcp.synthesis import CostSpec, build_step_model, synthesize_open_loop

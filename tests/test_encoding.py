@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LinExpr,
     grid_min_over_balls,
     oracle_atom_expr,
     oracle_boolean,
@@ -12,6 +13,7 @@ from helpers import (
     oracle_known_truth,
     oracle_robustness,
     random_formula,
+    tightened_offset,
 )
 from stlcp import stl
 from stlcp.casestudies import (
@@ -29,7 +31,6 @@ from stlcp.encoding import (
     Encoding,
     EncodingContext,
     EncodingError,
-    LinExpr,
     _AtomTable,
     _known_truth,
     _QualState,
@@ -38,7 +39,6 @@ from stlcp.encoding import (
     require,
     select_big_m,
     suggest_assignment,
-    tightened_offset,
 )
 from stlcp.milp import MilpModel, solve_bb
 from stlcp.synthesis import build_step_model

@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_solve
+from helpers import brute_force_solve, oracle_solve_bb
+from stlcp import synthesis
+from stlcp.casestudies import (
+    TemperatureScenario,
+    build_temperature_spec,
+    gen_temperature_dataset,
+    temperature_reformulate,
+)
+from stlcp.conformal import calibrate, compute_normalizers
 from stlcp.milp import (
     MilpModel,
     Solution,
+    _Arrays,
+    _lp_bounded,
+    _solve_fixed,
+    _WarmLP,
     solve_bb,
     solve_lp,
     write_lp,
 )
+from stlcp.prediction import fit_predictor, prediction_table
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -252,23 +265,6 @@ class TestBranchAndBound:
         sol = solve_bb(m, hint={z0: 1, z1: 1})  # feasible but suboptimal start
         assert sol.objective == pytest.approx(1.0)
 
-    def test_heuristic_callback_is_used(self):
-        calls = []
-
-        def heur(x):
-            calls.append(x.copy())
-            return {j: int(round(v)) for j, v in enumerate(x)}
-
-        m = MilpModel()
-        zs = [m.add_binary(f"z{i}") for i in range(4)]
-        x = m.add_continuous("x", 0, 8)
-        m.add_constraint({zs[0]: 1, zs[1]: 1, zs[2]: 1, zs[3]: 1, x: 0.25}, ">=", 1.1)
-        m.set_objective({x: 1, **{z: 1 for z in zs}})
-        sol = solve_bb(m, heuristic=lambda xv: {z: int(round(xv[z])) for z in zs})
-        assert sol.status == "optimal"
-        bf = brute_force_solve(m)
-        assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
-
     def test_node_limit_param_and_env(self, monkeypatch):
         rng = np.random.default_rng(4)
         model = random_milp(rng, 8)
@@ -312,6 +308,125 @@ class TestBranchAndBound:
         b = solve_bb(model)
         assert a.x.tobytes() == b.x.tobytes()
         assert (a.nodes, a.iterations, a.objective) == (b.nodes, b.iterations, b.objective)
+
+
+def highs_feasible(model: MilpModel) -> bool:
+    """HiGHS verdict on the MILP (scipy.optimize.milp)."""
+    c, A, eq, b, lb, ub = model.arrays()
+    integ = np.array([v.is_binary for v in model.vars], dtype=int)
+    lo = np.where(eq, b, -np.inf)
+    res = scipy_opt.milp(c, constraints=scipy_opt.LinearConstraint(A, lo, b),
+                         bounds=scipy_opt.Bounds(lb, ub), integrality=integ)
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+class _Captured(Exception):
+    pass
+
+
+def temperature_step_models(rooms: int = 7):
+    """Step models k = 0 and k = 1 of the first held-out rooms of
+    gen_temperature_dataset(700, 0) split 100/300/300, as the closed loop
+    builds them when every step searches (no reuse, no dive)."""
+    sc = TemperatureScenario()
+    ds = gen_temperature_dataset(700, 0, scenario=sc, sizes=(100, 300, 300))
+    train = ds.subset("train")
+    pred = fit_predictor(train, "cv")
+    sigma = compute_normalizers(train, pred, sc.t_phi)
+    radii = calibrate(ds.subset("cal"), pred, sigma, sc.delta)
+    plant, spec = temperature_reformulate(sc), build_temperature_spec(sc.horizon, sc.comfort_gap)
+    real = synthesis.solve_bb
+    out = []
+    for tr in ds.subset("test")[:rooms]:
+        models = []
+
+        def capture(model, **kw):
+            models.append(model)
+            if len(models) == 2:
+                raise _Captured
+            return real(model, **kw)
+
+        synthesis.solve_bb = capture
+        try:
+            synthesis.run_closed_loop(
+                plant, spec, tr.ys, prediction_table(pred, tr, sc.t_phi).row,
+                lambda k, tau, i: radii.closed_radius(k, tau, i), reuse_plan=False, accept_dive=False,
+            )
+        except _Captured:
+            pass
+        finally:
+            synthesis.solve_bb = real
+        out.append(models)
+    return out
+
+
+class TestWarmStart:
+    """The warm-started, plunging solve_bb against the cold best-first
+    oracle it replaced, brute force and HiGHS."""
+
+    def test_matches_oracle_and_brute_force(self):
+        rng = np.random.default_rng(5150)
+        seen = {"optimal": 0, "infeasible": 0}
+        for trial in range(60):
+            model = random_milp(rng, int(rng.integers(2, 9)))
+            if trial % 3 == 1:
+                # 2 (z_a + z_b [+ z_c]) = odd: LP feasible, integer infeasible
+                zs = rng.choice(model.binary_ids(), size=min(3, int(rng.integers(2, 4))), replace=False)
+                model.add_constraint({int(z): 2.0 for z in zs}, "=", float(2 * int(rng.integers(0, len(zs))) + 1))
+            elif trial % 3 == 2:
+                model.set_objective({}, const=1.5)
+            new, old, bf = solve_bb(model), oracle_solve_bb(model), brute_force_solve(model)
+            assert new.status == old.status == bf.status, f"trial {trial}"
+            seen[new.status] += 1
+            if new.status == "optimal":
+                assert new.objective == pytest.approx(bf.objective, abs=1e-6)
+                assert old.objective == pytest.approx(bf.objective, abs=1e-6)
+                assert model.check_solution(new.x) == []
+        assert seen["optimal"] >= 30 and seen["infeasible"] >= 15
+
+    def test_warm_child_matches_cold_fixing(self):
+        rng = np.random.default_rng(8080)
+        compared = 0
+        for _ in range(40):
+            model = random_milp(rng, int(rng.integers(3, 9)))
+            c, A, eq, b, lb, ub = model.arrays()
+            arr = _Arrays(c, A, eq, b, lb, ub)
+            status, _, _, _, basis = _lp_bounded(c, A, eq, b, lb, ub)
+            assert status == "optimal"
+            binaries = model.binary_ids()
+            is_bin = np.zeros(len(c), dtype=bool)
+            is_bin[binaries] = True
+            lp = _WarmLP(c, A, eq, b, lb, ub, is_bin)
+            lp.load(*basis)
+            fixed = {}
+            for j in rng.permutation(binaries):
+                fixed[int(j)] = float(rng.integers(0, 2))
+                lp.fix(int(j), fixed[int(j)])
+                warm = lp.dual(10_000)
+                cold, _, obj, _ = _solve_fixed(arr, fixed)
+                assert warm == cold
+                if cold != "optimal":
+                    break
+                x = lp.x()
+                assert float(c @ x) == pytest.approx(obj, abs=1e-6)
+                assert np.all(A[~eq] @ x <= b[~eq] + 1e-7) and np.allclose(A[eq] @ x, b[eq], atol=1e-7)
+                assert np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9)
+                assert all(x[j] == v for j, v in fixed.items())
+                compared += 1
+        assert compared >= 100
+
+    def test_highs_verdicts_on_temperature_steps(self):
+        rooms = temperature_step_models()
+        assert [len(m) for m in rooms] == [2, 2, 1, 2, 2, 2, 1]
+        for j, models in enumerate(rooms):
+            for k, model in enumerate(models):
+                sol = solve_bb(model)
+                assert sol.status in ("optimal", "infeasible")
+                assert (sol.status == "optimal") == highs_feasible(model), f"room {j} k = {k}"
+                if sol.status == "optimal":
+                    assert model.check_solution(sol.x, model.feasibility_tol()) == []
+        assert solve_bb(rooms[2][0]).status == solve_bb(rooms[6][0]).status == "infeasible"
 
 
 class TestDiagnostics:

@@ -124,6 +124,22 @@ class TestTables:
         with pytest.raises(ValueError, match="incomplete"):
             FilePredictor(t)
 
+    def test_table_holds_exactly_the_pairs_k_below_tau(self):
+        tr = AgentTrajectory((np.arange(8.0).reshape(-1, 1), np.ones((8, 2))), (np.zeros((1, 1)), np.ones((1, 2))))
+        table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=5)
+        assert table.values.shape == (15, 3) and table.is_complete()
+        for k in range(5):
+            row = table.row(k)
+            assert sorted(row) == [(tau, i) for tau in range(k + 1, 6) for i in range(2)]
+            for (tau, i), y in row.items():
+                assert y.shape == (tr.dims[i],)
+                assert np.array_equal(y, table.get(k, tau, i))
+        assert table.get(2, 4, 0)[0] == pytest.approx(4.0)  # last value 2, velocity 1
+        with pytest.raises(KeyError):
+            table.get(3, 3, 0)
+        with pytest.raises(KeyError):
+            table.set(5, 6, 0, [0.0])
+
     def test_too_short_trajectory(self):
         tr = mono_traj([0.0, 1.0])
         with pytest.raises(ValueError, match="too short"):

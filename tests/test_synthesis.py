@@ -15,10 +15,12 @@ from stlcp.casestudies import (
     temperature_reformulate,
 )
 from stlcp.casestudies.robot import follower_hint
+from stlcp.milp import Solution
 from stlcp.synthesis import (
     ControlResult,
     CostSpec,
     GuaranteeReport,
+    MilpConsistencyError,
     MixedRow,
     SynthesisError,
     SystemModel,
@@ -393,6 +395,43 @@ class TestClosedLoop:
         assert csv1.read_bytes() == csv2.read_bytes()
         head = csv1.read_text().split("\n")[0]
         assert head == "k,x0,u0,y0_0"
+
+
+class TestPlanCheck:
+    """Dive and search plans are checked against their step model before
+    they are applied, as reused plans are."""
+
+    @pytest.mark.parametrize("solver", ["dive_solve", "solve_bb"])
+    def test_perturbed_plan_raises(self, monkeypatch, solver):
+        real = getattr(synthesis, solver)
+
+        def perturbed(model, *args, **kw):
+            sol = real(model, *args, **kw)
+            x = sol.x.copy()
+            x[0] += 0.5  # the first planned state leaves its dynamics row
+            return Solution(sol.status, x, sol.objective, sol.iterations, sol.nodes)
+
+        monkeypatch.setattr(synthesis, solver, perturbed)
+        sys = integrator()
+        spec = stl.Always(0, 3, stl.Or((atom([1.0], [(-1.0,)], 3.0), atom([1.0], [(1.0,)], 3.0))))
+        y = np.zeros((4, 1))
+        source = "dive" if solver == "dive_solve" else "search"
+        with pytest.raises(MilpConsistencyError, match=rf"{source} plan at step \d violates row dyn"):
+            run_closed_loop(sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)},
+                            lambda k, tau, i: 0.1, reuse_plan=False)
+
+    def test_perturbed_open_loop_plan_raises(self, monkeypatch):
+        real = synthesis.solve_bb
+
+        def perturbed(model, **kw):
+            sol = real(model, **kw)
+            return Solution(sol.status, sol.x + 0.5, sol.objective, sol.iterations, sol.nodes)
+
+        monkeypatch.setattr(synthesis, "solve_bb", perturbed)
+        spec = stl.Always(1, 1, atom([1.0], [(-1.0,)], 0.0))
+        with pytest.raises(MilpConsistencyError, match="search plan at step 0 violates"):
+            synthesize_open_loop(integrator(), spec, {0: np.array([0.0])}, {(1, 0): np.array([0.5])},
+                                 lambda tau, i: 0.2)
 
 
 def model_size(sm):
