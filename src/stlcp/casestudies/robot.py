@@ -38,12 +38,13 @@ from ..stl import (
     AffinePredicate,
     Always,
     And,
+    CompiledSpec,
     Eventually,
     Formula,
     JointTrajectory,
     Or,
     Pred,
-    TrueNode,
+    compile_spec,
     eval_boolean,
     to_pnf,
 )
@@ -280,7 +281,7 @@ def _tracking_terms(ref_xs: np.ndarray, first: int, t_phi: int) -> tuple[Trackin
     )
 
 
-def _solve_leader_nominal(sys: SystemModel, spec: Formula, sc: RobotScenario):
+def _solve_leader_nominal(sys: SystemModel, spec: CompiledSpec, sc: RobotScenario):
     """Undisturbed leader plan, pulled toward the waypoint route."""
     hint = _leader_hint(sc)
     sm = build_step_model(
@@ -325,40 +326,28 @@ def _feedback_replay(
     return out_xs, out_us
 
 
-def _split_margin(f: Formula, xs: np.ndarray, now: int, tau: int) -> float:
+def _plan_margin(spec: CompiledSpec, xs: np.ndarray, now: int) -> float:
     """Least margin the plan keeps on atoms at or after `now`, provided all
     atom instances before `now` (already realized) hold; -inf when some
     needed past instance is violated.  Mirrors the step MILP, which folds
-    the observed prefix and demands a positive margin only of the future."""
-    if isinstance(f, TrueNode):
-        return math.inf
-    if isinstance(f, Pred):
-        v = f.predicate.value(xs[tau], ())
-        if tau < now:
-            return math.inf if v >= 0.0 else -math.inf
-        return v
-    if isinstance(f, And):
-        return min(_split_margin(c, xs, now, tau) for c in f.children)
-    if isinstance(f, Or):
-        return max(_split_margin(c, xs, now, tau) for c in f.children)
-    if isinstance(f, Always):
-        return min(_split_margin(f.child, xs, now, tau + d) for d in range(f.a, f.b + 1))
-    if isinstance(f, Eventually):
-        return max(_split_margin(f.child, xs, now, tau + d) for d in range(f.a, f.b + 1))
-    raise TypeError(f"unsupported node {type(f).__name__}")
+    the observed prefix and demands a positive margin only of the future:
+    past leaves are +-inf by sign, later ones the predicate values."""
+    mu = spec.predicate_values(xs)
+    mu[:, :now] = np.where(mu[:, :now] >= 0.0, math.inf, -math.inf)
+    return float(spec.fold(mu)[spec.root, 0])
 
 
-def _plan_ok(spec: Formula, sc: RobotScenario, xs: np.ndarray, k: int, margin: float) -> bool:
+def _plan_ok(spec: CompiledSpec, sc: RobotScenario, xs: np.ndarray, k: int, margin: float) -> bool:
     lo, hi = sc.state_box
     future = xs[k:]
     if np.any(future < np.asarray(lo) - 1e-9) or np.any(future > np.asarray(hi) + 1e-9):
         return False
-    return _split_margin(spec, xs, k, 0) >= margin
+    return _plan_margin(spec, xs, k) >= margin
 
 
 def _rollout_leader(
     sys: SystemModel,
-    spec: Formula,
+    spec: CompiledSpec,
     sc: RobotScenario,
     nominal_xs: np.ndarray,
     nominal_us: dict[int, np.ndarray],
@@ -424,7 +413,7 @@ def gen_robot_leader_dataset(
         raise ValueError("need at least one trajectory")
     sc = scenario
     sys = robot_system(sc)
-    spec = build_robot_specs(sc)[1]
+    spec = compile_spec(build_robot_specs(sc)[1])
     nominal_xs, nominal_us = _solve_leader_nominal(sys, spec, sc)
     master = np.random.default_rng(seed)
     stats = LeaderGenStats()

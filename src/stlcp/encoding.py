@@ -33,8 +33,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .milp import MilpModel
-from .stl import AffinePredicate, CompiledSpec, compile_spec, is_pnf
+from .stl import AffinePredicate, CompiledSpec, compile_spec
 
+#: Margin of a strict atom row: the qualitative encoding demands mu >= EPS.
+#: The LP core accepts a row violated within MilpModel.feasibility_tol(),
+#: FEASIBILITY_TOL * (1 + max |rhs|), which exceeds EPS once the model's
+#: largest |rhs| passes about 9.  Strictness then holds only to that
+#: tolerance: a plan may meet a strict atom with equality (in
+#: test_disturbance_replan_uses_observed_agent the k = 0 plan misses
+#: mu >= EPS by 1e-6 under a tolerance of 1.6e-6).
 EPS = 1e-6
 EPS_ROBUST = 1e-4
 
@@ -198,7 +205,23 @@ class _AtomTable:
         self._linear = ~past & (cs.coeff_x != 0.0).any(axis=1)[pidx] & (const != -math.inf)
         self.const = const.tolist()
         self.linear = self._linear.tolist()
-        self.truth = [None if lin else c >= 0.0 for c, lin in zip(self.const, self.linear)]
+
+    @property
+    def truth(self) -> list:
+        return [None if lin else c >= 0.0 for c, lin in zip(self.const, self.linear)]
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """The spec's node table (CompiledSpec.fold) with leaf values[j] at
+        atom instance j."""
+        cs = self.spec
+        leaves = np.zeros((len(cs.predicates), cs.horizon + 1))
+        leaves[cs.atom_pred, cs.atom_tau] = values
+        return cs.fold(leaves)
+
+    def known(self) -> np.ndarray:
+        """Three-valued (Kleene) node table: +1 / 0 / -1 where the folded
+        constants decide a node True / leave it undecided / decide it False."""
+        return self.fold(np.where(self._linear, 0.0, np.where(self._const >= 0.0, 1.0, -1.0)))
 
     def _accumulate(self, acc: np.ndarray, term) -> np.ndarray:
         """acc[j] += term(c, tau, d) over the nonzero state coefficients c of
@@ -225,7 +248,7 @@ class _AtomTable:
         cand[self._linear] = np.maximum(np.abs(lo), np.abs(hi))
         return 2.0 * float(np.max(cand[np.isfinite(cand)], initial=1.0))
 
-    def holds(self, ctx: EncodingContext, xs: np.ndarray) -> list[bool]:
+    def holds(self, ctx: EncodingContext, xs: np.ndarray) -> np.ndarray:
         """Per instance, whether state trajectory xs satisfies it: linear
         instances by the row margin eps, less a 1e-9 slack for float echo
         when xs sits exactly on an active row; constants by their sign."""
@@ -233,13 +256,7 @@ class _AtomTable:
         value = self._const[self._linear] + self._accumulate(
             np.zeros(int(self._linear.sum())), lambda c, t, d: c * xs[t, d])
         out[self._linear] = value >= ctx.eps - 1e-9
-        return out.tolist()
-
-
-def select_big_m(ctx: EncodingContext, formula) -> float:
-    """Bound on |tightened atom value| across the formula, doubled; see
-    _AtomTable.big_m."""
-    return _AtomTable(ctx, _compiled(formula)).big_m(ctx)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +264,10 @@ def select_big_m(ctx: EncodingContext, formula) -> float:
 
 
 def _compiled(formula) -> CompiledSpec:
-    if isinstance(formula, CompiledSpec):
-        return formula
-    if not is_pnf(formula):
+    cs = formula if isinstance(formula, CompiledSpec) else compile_spec(formula)
+    if any(node.op == "not" for node in cs.nodes):
         raise EncodingError("encoder expects positive normal form; call to_pnf first")
-    return compile_spec(formula)
+    return cs
 
 
 def encode(ctx: EncodingContext, formula) -> Encoding:
@@ -265,54 +281,29 @@ def encode(ctx: EncodingContext, formula) -> Encoding:
         ctx.big_m = atoms.big_m(ctx)
     enc = Encoding(root=None, mode=ctx.mode, big_m=ctx.big_m, atoms=atoms)
     if ctx.mode == "qual":
-        state = _QualState(atoms, atoms.truth)
-        kt = _known_truth(state, cs.root, 0)
-        if kt is None:
+        state = _QualState(atoms)
+        v = state.known[cs.root][0]
+        enc.root = None if v == 0.0 else v > 0.0
+        if enc.root is None:
             _encode_qual(ctx, enc, state, cs.root, 0, None)
-        enc.root = kt
     else:
         enc.root = _encode_quant(ctx, enc, {}, cs.root, 0)
     return enc
 
 
 class _QualState:
-    """The atom table, each instance's truth (True/False/None), and caches of
-    folds, indicator binaries and emitted rows keyed by (node id, tau)."""
+    """The atom table, its three-valued node table known[nid][tau] (+1 / 0 /
+    -1 for True / undecided / False), and caches of indicator binaries and
+    emitted rows."""
 
-    __slots__ = ("spec", "atoms", "leaves", "truth", "indicators", "emitted")
+    __slots__ = ("spec", "atoms", "known", "indicators", "emitted")
 
-    def __init__(self, atoms: _AtomTable, leaves: list):
+    def __init__(self, atoms: _AtomTable):
         self.spec = atoms.spec
         self.atoms = atoms
-        self.leaves = leaves
-        self.truth: dict = {}
+        self.known = atoms.known().tolist()
         self.indicators: dict = {}
         self.emitted: set = set()
-
-
-def _known_truth(state: _QualState, nid: int, tau: int):
-    """Three-valued fold: True/False when the leaves (the observed prefix or
-    agent-only tightened constants) decide node nid at tau, None otherwise."""
-    key = (nid, tau)
-    if key in state.truth:
-        return state.truth[key]
-    node = state.spec.nodes[nid]
-    if node.op == "pred":
-        out = state.leaves[state.spec.atom_index[node.pred, tau]]
-    elif node.op == "true":
-        out = True
-    else:
-        decisive = node.op == "or"  # a True decides an or, a False an and
-        out = not decisive
-        for c, dt in node.pairs:
-            b = _known_truth(state, c, tau + dt)
-            if b is decisive:
-                out = decisive
-                break
-            if b is None:
-                out = None
-    state.truth[key] = out
-    return out
 
 
 def _encode_qual(ctx, enc, state: _QualState, nid: int, tau: int, guard: int | None) -> None:
@@ -339,7 +330,7 @@ def _encode_qual(ctx, enc, state: _QualState, nid: int, tau: int, guard: int | N
     live, seen = [], set()
     for child, dt in node.pairs:
         t = tau + dt
-        if _known_truth(state, child, t) is None and (child, t) not in seen:
+        if state.known[child][t] == 0.0 and (child, t) not in seen:
             seen.add((child, t))
             live.append((child, t))
     if node.op == "and":
@@ -500,13 +491,13 @@ def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tup
     for tau, vids in ctx.state_vars.items():
         for d, vid in enumerate(vids):
             vals[vid] = float(xs[tau, d])
-    plan = _QualState(enc.atoms, enc.atoms.holds(ctx, xs))
+    plan = enc.atoms.fold(np.where(enc.atoms.holds(ctx, xs), 1.0, -1.0))
     out: dict[int, int] = {}
     extras: dict[int, float] = {}
     for entry in enc.registry:
         if entry[0] == "ind":
             _, z, nid, tau = entry
-            out[z] = 1 if _known_truth(plan, nid, tau) else 0
+            out[z] = 1 if plan[nid, tau] > 0.0 else 0
         elif entry[0] == "root":
             _, rbar, e = entry
             extras[rbar] = vals[rbar] = e.value(vals)

@@ -10,11 +10,20 @@ with the usual derived operators F[a,b] (eventually), G[a,b] (always) and
 '->' (implication, desugared at parse time).  Semantics follow the discrete
 time convention where U[a,b] requires the right operand at some k' in
 [k+a, k+b] and the left operand at every k'' in [k, k'].
+
+Every reading of a formula goes through one representation and one
+evaluator: compile_spec interns the formula into a node table (true, pred,
+not, and, or; temporal operators unroll to time offsets, until to its
+witnesses), and CompiledSpec.fold computes every node's signal over time
+from a leaf array leaves[predicate, time] with 'and' = min, 'or' = max,
+'not' = negation and 'true' = +inf.  The leaves alone choose the semantics:
+the predicate values mu give robustness, +-1 by mu >= 0 gives Boolean
+satisfaction (the formula holds where the result is > 0), and the encoder's
+three-valued fold and plan readers use +1/0/-1 for True/undecided/False.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -602,9 +611,10 @@ def collect_predicates(f: Formula, base_time: int = 0) -> list[tuple[AffinePredi
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """An interned subformula: op "true", "pred", "and" or "or", operands as
-    (child id, time offset) pairs (temporal operators unroll to offsets, until
-    to its witnesses), and the type name that labels rows and binaries."""
+    """An interned subformula: op "true", "pred", "not", "and" or "or",
+    operands as (child id, time offset) pairs (temporal operators unroll to
+    offsets, until to its witnesses), and the type name that labels rows and
+    binaries."""
 
     op: str
     name: str
@@ -615,12 +625,14 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class CompiledSpec:
-    """A PNF formula compiled once, for encoding at every planning step.
+    """A formula compiled once, for evaluation and for encoding at every
+    planning step.
 
-    Equal subformulas share one node.  The distinct predicates come in
-    first-visit order with stacked, zero-padded coefficients.  Atom instance
-    j is predicate atom_pred[j] at time atom_tau[j], in collect_predicates
-    order; atom_index[p, tau] = j.  agent_times[i] lists when atoms read agent i.
+    Equal subformulas share one node, and a node's children have lower ids.
+    The distinct predicates come in first-visit order with stacked,
+    zero-padded coefficients.  Atom instance j is predicate atom_pred[j] at
+    time atom_tau[j], in collect_predicates order; atom_index[p, tau] = j.
+    agent_times[i] lists when atoms read agent i.
     """
 
     formula: Formula
@@ -639,12 +651,48 @@ class CompiledSpec:
     atom_index: dict[tuple[int, int], int]
     agent_times: tuple[tuple[int, ...], ...]
 
+    def predicate_values(self, xs: np.ndarray, ys: Sequence[np.ndarray] = ()) -> np.ndarray:
+        """mu[p, t] for states xs[t] (rows) and agent states ys[i][t],
+        summed in AffinePredicate.value's order so the values agree bit for
+        bit; dimensions either side lacks are skipped, as zip does there."""
+        mu = np.repeat(self.offsets[:, None], len(xs), axis=1)
+        for d in range(min(self.coeff_x.shape[1], xs.shape[1])):
+            mu += self.coeff_x[:, d, None] * xs[:, d]
+        for a, y in zip(self.coeff_y, ys):
+            for d in range(min(a.shape[1], y.shape[1])):
+                mu += a[:, d, None] * y[:, d]
+        return mu
+
+    def fold(self, leaves: np.ndarray) -> np.ndarray:
+        """Every node's signal over time: out[n, t] from the leaf signals
+        leaves[p, t] (predicate p at time t), visiting nodes in id order.
+        'and' is the min over a node's (child, offset) pairs, 'or' the max,
+        'not' the negation of its child, 'true' +inf.  Node n is defined at
+        the times t that leave room for its lookahead; later entries are
+        NaN."""
+        out = np.full((len(self.nodes), leaves.shape[1]), np.nan)
+        width = []
+        for nid, node in enumerate(self.nodes):
+            if node.op == "pred":
+                w, v = leaves.shape[1], leaves[node.pred]
+            elif node.op == "true":
+                w, v = leaves.shape[1], np.inf
+            elif node.op == "not":
+                (c, _), = node.pairs
+                w, v = width[c], -out[c, : width[c]]
+            else:
+                w = min(width[c] - dt for c, dt in node.pairs)
+                v = (np.minimum if node.op == "and" else np.maximum).reduce([out[c, dt : dt + w] for c, dt in node.pairs])
+            width.append(w)
+            out[nid, :w] = v
+        return out
+
 
 def compile_spec(formula: Formula) -> CompiledSpec:
-    """Rewrite to PNF, intern every subformula by value, including each
-    until witness G[d2,d2] right & G[0,0] left & .. & G[d2,d2] left, and
-    stack the predicates and their atom instances."""
-    pnf = to_pnf(formula)
+    """Intern every subformula by value, including each until witness
+    G[d2,d2] right & G[0,0] left & .. & G[d2,d2] left, and stack the
+    predicates and their atom instances.  Negations stay exact "not" nodes;
+    callers that encode pass to_pnf(formula)."""
     nodes: list[Node] = []
     ids: dict = {}
     pred_ids: dict[AffinePredicate, int] = {}
@@ -668,6 +716,9 @@ def compile_spec(formula: Formula) -> CompiledSpec:
         if isinstance(f, Pred):
             p = pred_ids.setdefault(f.predicate, len(pred_ids))
             return node(("Pred", p), "pred", "pred", pred=p)
+        if isinstance(f, Not):
+            c = intern(f.child)
+            return node(("Not", c), "not", "not", [(c, 0)])
         if isinstance(f, (And, Or)):
             return conj(type(f).__name__, tuple(intern(c) for c in f.children))
         if isinstance(f, (Always, Eventually)):
@@ -678,9 +729,9 @@ def compile_spec(formula: Formula) -> CompiledSpec:
                     for d2 in range(f.a, f.b + 1)]
             until = (f.a, f.b, left, right)
             return node(("Until",) + until, "or", "until", [(w, 0) for w in wits], until=until)
-        raise TypeError(f"not a PNF formula: {f!r}")
+        raise TypeError(f"not a formula: {f!r}")
 
-    root = intern(pnf)
+    root = intern(formula)
     preds = tuple(pred_ids)
     times: list[set[int]] = [set() for _ in preds]
     seen: set[tuple[int, int]] = set()
@@ -705,7 +756,7 @@ def compile_spec(formula: Formula) -> CompiledSpec:
             coeff_y[i][p, : len(a)] = a
             norm_y[p, i] = float(np.linalg.norm(np.asarray(a, dtype=float)))
     return CompiledSpec(
-        formula=pnf, horizon=horizon(pnf), root=root, nodes=tuple(nodes), predicates=preds,
+        formula=formula, horizon=horizon(formula), root=root, nodes=tuple(nodes), predicates=preds,
         offsets=np.array([p.offset for p in preds], dtype=float),
         has_x=np.array([len(p.coeff_x) > 0 for p in preds], dtype=bool),
         coeff_x=coeff_x,
@@ -749,115 +800,29 @@ class JointTrajectory:
         """Index of the final state (number of steps)."""
         return self.xs.shape[0] - 1
 
-    def state(self, t: int):
-        return self.xs[t], [y[t] for y in self.ys]
 
-
-def _require_window(f: Formula, traj: JointTrajectory, k: int) -> None:
+def _evaluable(f: Formula | CompiledSpec, traj: JointTrajectory, k: int) -> CompiledSpec:
+    cs = f if isinstance(f, CompiledSpec) else compile_spec(f)
     if k < 0:
         raise ValueError(f"negative evaluation time {k}")
-    need = k + horizon(f)
+    need = k + cs.horizon
     if need > traj.length:
         raise TrajectoryTooShortError(
             f"evaluation at k={k} needs states through t={need}, trajectory ends at t={traj.length}"
         )
+    return cs
 
 
-def eval_boolean(f: Formula, traj: JointTrajectory, k: int = 0) -> bool:
-    """Boolean satisfaction (phi, traj, k) |= phi."""
-    _require_window(f, traj, k)
-    return _eval_bool(f, traj, k, {})
+def eval_boolean(f: Formula | CompiledSpec, traj: JointTrajectory, k: int = 0) -> bool:
+    """Boolean satisfaction (phi, traj, k) |= phi of a formula or its
+    compile_spec: the fold of +-1 leaves (mu >= 0) is positive."""
+    cs = _evaluable(f, traj, k)
+    signs = np.where(cs.predicate_values(traj.xs, traj.ys) >= 0.0, 1.0, -1.0)
+    return bool(cs.fold(signs)[cs.root, k] > 0.0)
 
 
-def _eval_bool(f: Formula, traj: JointTrajectory, k: int, memo: dict) -> bool:
-    key = (id(f), k)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, TrueNode):
-        v = True
-    elif isinstance(f, Pred):
-        x, ys = traj.state(k)
-        v = f.predicate.value(x, ys) >= 0.0
-    elif isinstance(f, Not):
-        v = not _eval_bool(f.child, traj, k, memo)
-    elif isinstance(f, And):
-        v = all(_eval_bool(c, traj, k, memo) for c in f.children)
-    elif isinstance(f, Or):
-        v = any(_eval_bool(c, traj, k, memo) for c in f.children)
-    elif isinstance(f, Always):
-        v = all(_eval_bool(f.child, traj, t, memo) for t in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Eventually):
-        v = any(_eval_bool(f.child, traj, t, memo) for t in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Until):
-        v = any(
-            _eval_bool(f.right, traj, kp, memo)
-            and all(_eval_bool(f.left, traj, kpp, memo) for kpp in range(k, kp + 1))
-            for kp in range(k + f.a, k + f.b + 1)
-        )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = v
-    return v
-
-
-def eval_robustness(f: Formula, traj: JointTrajectory, k: int = 0) -> float:
-    """Quantitative semantics rho(phi, traj, k); rho(true) = +inf."""
-    _require_window(f, traj, k)
-    return _eval_rho(f, traj, k, {})
-
-
-def _eval_rho(f: Formula, traj: JointTrajectory, k: int, memo: dict) -> float:
-    key = (id(f), k)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, TrueNode):
-        v = math.inf
-    elif isinstance(f, Pred):
-        x, ys = traj.state(k)
-        v = f.predicate.value(x, ys)
-    elif isinstance(f, Not):
-        v = -_eval_rho(f.child, traj, k, memo)
-    elif isinstance(f, And):
-        v = min(_eval_rho(c, traj, k, memo) for c in f.children)
-    elif isinstance(f, Or):
-        v = max(_eval_rho(c, traj, k, memo) for c in f.children)
-    elif isinstance(f, Always):
-        v = min(_eval_rho(f.child, traj, t, memo) for t in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Eventually):
-        v = max(_eval_rho(f.child, traj, t, memo) for t in range(k + f.a, k + f.b + 1))
-    elif isinstance(f, Until):
-        v = max(
-            min(
-                _eval_rho(f.right, traj, kp, memo),
-                min(_eval_rho(f.left, traj, kpp, memo) for kpp in range(k, kp + 1)),
-            )
-            for kp in range(k + f.a, k + f.b + 1)
-        )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = v
-    return v
-
-
-# ---------------------------------------------------------------------------
-# convenience constructors used by the case studies
-
-
-def box_inside(signals: SignalMap, names: Sequence[str], lo: Sequence[float], hi: Sequence[float], label: str = "") -> Formula:
-    """Conjunction of affine atoms keeping each named signal within [lo, hi]."""
-    atoms = []
-    for n, l, h in zip(names, lo, hi):
-        atoms.append(Pred(signals.predicate({n: 1.0}, -float(l), name=f"{label}:{n}>={l}")))
-        atoms.append(Pred(signals.predicate({n: -1.0}, float(h), name=f"{label}:{n}<={h}")))
-    return And(tuple(atoms))
-
-
-def box_outside(signals: SignalMap, names: Sequence[str], lo: Sequence[float], hi: Sequence[float], label: str = "") -> Formula:
-    """Disjunction of affine atoms keeping some named signal outside [lo, hi]."""
-    atoms = []
-    for n, l, h in zip(names, lo, hi):
-        atoms.append(Pred(signals.predicate({n: -1.0}, float(l), name=f"{label}:{n}<={l}")))
-        atoms.append(Pred(signals.predicate({n: 1.0}, -float(h), name=f"{label}:{n}>={h}")))
-    return Or(tuple(atoms))
+def eval_robustness(f: Formula | CompiledSpec, traj: JointTrajectory, k: int = 0) -> float:
+    """Quantitative semantics rho(phi, traj, k) of a formula or its
+    compile_spec: the fold of the predicate values; rho(true) = +inf."""
+    cs = _evaluable(f, traj, k)
+    return float(cs.fold(cs.predicate_values(traj.xs, traj.ys))[cs.root, k])

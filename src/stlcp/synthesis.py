@@ -30,7 +30,7 @@ from .encoding import (
     suggest_assignment,
 )
 from .milp import MilpModel, Solution, dive_solve, solve_bb
-from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval_robustness
+from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval_robustness, to_pnf
 
 DYNAMICS_TOL = 1e-7
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -265,8 +265,9 @@ def build_step_model(
 ) -> StepModel:
     """Assemble the step-k MILP: dynamics/box/mixed rows plus the encoded
     specification with the observed prefix folded out.  spec is a formula or
-    the compile_spec of one; loops that build many steps pass the latter."""
-    cs = spec if isinstance(spec, CompiledSpec) else compile_spec(spec)
+    the compile_spec of a PNF one; loops that build many steps pass the
+    latter."""
+    cs = spec if isinstance(spec, CompiledSpec) else compile_spec(to_pnf(spec))
     t_phi = cs.horizon
     if t_phi < 1:
         raise SynthesisError("specification horizon must be a positive integer")
@@ -551,7 +552,7 @@ def run_closed_loop(
     previous one.  Aborts on the first infeasible step: a fallback control
     would void the guarantee.
     """
-    cs = compile_spec(spec)
+    cs = compile_spec(to_pnf(spec))
     t_phi = cs.horizon
     if t_phi < 1:
         raise SynthesisError("specification horizon must be a positive integer")
@@ -634,8 +635,8 @@ def run_closed_loop(
 
     trimmed = tuple(y[: t_phi + 1] for y in playback)
     traj = JointTrajectory(xs, trimmed)
-    satisfied = bool(eval_boolean(cs.formula, traj, 0))
-    rho = float(eval_robustness(cs.formula, traj, 0))
+    satisfied = eval_boolean(cs, traj, 0)
+    rho = eval_robustness(cs, traj, 0)
     recovered = None
     if sys.input_recover is not None:
         recovered = np.stack([np.atleast_1d(sys.input_recover(k, xs[k], us[k])) for k in range(t_phi)])

@@ -73,6 +73,51 @@ def oracle_boolean(f, traj, k):
     raise TypeError(f)
 
 
+def oracle_split_margin(f, xs, now, tau):
+    """Least margin a state plan xs keeps on atoms at or after `now`,
+    provided every atom instance before `now` holds; -inf when a needed past
+    instance is violated.  Walks a PNF formula over the system state only;
+    the plan check of the robot leader is checked against it."""
+    if isinstance(f, stl.TrueNode):
+        return math.inf
+    if isinstance(f, stl.Pred):
+        v = f.predicate.value(xs[tau], ())
+        if tau < now:
+            return math.inf if v >= 0.0 else -math.inf
+        return v
+    if isinstance(f, stl.And):
+        return min(oracle_split_margin(c, xs, now, tau) for c in f.children)
+    if isinstance(f, stl.Or):
+        return max(oracle_split_margin(c, xs, now, tau) for c in f.children)
+    if isinstance(f, stl.Always):
+        return min(oracle_split_margin(f.child, xs, now, tau + d) for d in range(f.a, f.b + 1))
+    if isinstance(f, stl.Eventually):
+        return max(oracle_split_margin(f.child, xs, now, tau + d) for d in range(f.a, f.b + 1))
+    raise TypeError(f"unsupported node {type(f).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# formula builders only the tests use
+
+
+def box_inside(signals, names, lo, hi, label=""):
+    """Conjunction of affine atoms keeping each named signal within [lo, hi]."""
+    atoms = []
+    for n, l, h in zip(names, lo, hi):
+        atoms.append(stl.Pred(signals.predicate({n: 1.0}, -float(l), name=f"{label}:{n}>={l}")))
+        atoms.append(stl.Pred(signals.predicate({n: -1.0}, float(h), name=f"{label}:{n}<={h}")))
+    return stl.And(tuple(atoms))
+
+
+def box_outside(signals, names, lo, hi, label=""):
+    """Disjunction of affine atoms keeping some named signal outside [lo, hi]."""
+    atoms = []
+    for n, l, h in zip(names, lo, hi):
+        atoms.append(stl.Pred(signals.predicate({n: -1.0}, float(l), name=f"{label}:{n}<={l}")))
+        atoms.append(stl.Pred(signals.predicate({n: 1.0}, -float(h), name=f"{label}:{n}>={h}")))
+    return stl.Or(tuple(atoms))
+
+
 # ---------------------------------------------------------------------------
 # random formula / trajectory generators (granular values keep atom values
 # far from the 1e-9 negation margin unless exactly zero)
@@ -323,6 +368,12 @@ class LinExpr(encoding.LinExpr):
     @property
     def is_const(self) -> bool:
         return not self.coeffs
+
+
+def select_big_m(ctx, formula) -> float:
+    """Bound on |tightened atom value| across a PNF formula, doubled; see
+    _AtomTable.big_m."""
+    return encoding._AtomTable(ctx, stl.compile_spec(formula)).big_m(ctx)
 
 
 def tightened_offset(pred, centers, radii) -> float:

@@ -1,8 +1,11 @@
 """Leader-follower robot scenario: geometry, dataset generation, follower loop."""
 
+import math
+
 import numpy as np
 import pytest
 
+from helpers import oracle_split_margin
 from stlcp.casestudies import (
     RobotScenario,
     build_robot_specs,
@@ -11,8 +14,9 @@ from stlcp.casestudies import (
     robot_system,
     run_follower_experiment,
 )
+from stlcp.casestudies.robot import _plan_margin
 from stlcp.conformal import compute_normalizers, trajectory_scores
-from stlcp.stl import JointTrajectory, eval_boolean, eval_robustness, horizon
+from stlcp.stl import JointTrajectory, compile_spec, eval_boolean, eval_robustness, horizon
 
 
 SC = RobotScenario()
@@ -143,6 +147,22 @@ class TestLeaderGeneration:
         ref = np.asarray(ds.trajectories[0].ys[0])
         for tr in ds.trajectories[1:]:
             assert np.allclose(ref, tr.ys[0], atol=1e-12)
+
+    def test_plan_margin_matches_oracle(self):
+        """The replay check's fold equals the recursive split margin at every
+        step k, on leader rollouts and on one that leaves its first staging
+        region mid-hold, where every later k must see -inf."""
+        _, leader = build_robot_specs(SC)
+        cs = compile_spec(leader)
+        runs = [leader_joint(np.asarray(tr.ys[0])).xs for tr in gen_robot_leader_dataset(4, seed=3).trajectories]
+        strayed = runs[0].copy()
+        strayed[5, 0] = SC.region1[1] + 1.0  # hold window [4,6]
+        runs.append(strayed)
+        ks = range(SC.horizon + 1)
+        got = [[_plan_margin(cs, xs, k) for k in ks] for xs in runs]
+        assert got == [[oracle_split_margin(leader, xs, k, 0) for k in ks] for xs in runs]
+        assert got[-1][6:] == [-math.inf] * (SC.horizon - 5)
+        assert all(math.isfinite(m) for m in got[-1][:6])
 
     def test_stats_reported(self):
         ds, stats = gen_robot_leader_dataset(5, seed=6, return_stats=True)

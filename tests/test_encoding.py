@@ -13,6 +13,7 @@ from helpers import (
     oracle_known_truth,
     oracle_robustness,
     random_formula,
+    select_big_m,
     tightened_offset,
 )
 from stlcp import stl
@@ -32,12 +33,9 @@ from stlcp.encoding import (
     EncodingContext,
     EncodingError,
     _AtomTable,
-    _known_truth,
-    _QualState,
     encode,
     kkt_certificate,
     require,
-    select_big_m,
     suggest_assignment,
 )
 from stlcp.milp import MilpModel, solve_bb
@@ -178,14 +176,15 @@ def assert_table_matches_oracle(ctx, cs, table):
             assert table.const[j] == ref.const
             vids = ctx.state_vars[tau]
             assert {vids[d]: c for d, c in cs.x_terms[p]} == ref.coeffs
-    state = _QualState(table, table.truth)
+    known = table.known()
     seen = set()
 
     def walk(f, nid, tau):
         if (nid, tau) in seen:
             return
         seen.add((nid, tau))
-        assert _known_truth(state, nid, tau) is oracle_known_truth(ctx, f, tau)
+        v = known[nid, tau]
+        assert (None if v == 0.0 else bool(v > 0.0)) is oracle_known_truth(ctx, f, tau)
         if isinstance(f, (stl.TrueNode, stl.Pred)):
             return
         _, pairs = oracle_children(f, tau)
@@ -241,7 +240,7 @@ class TestAtomTable:
         for _ in range(200):
             n_x = int(rng.integers(1, 3))
             agent_dims = tuple(int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 3))))
-            cs = stl.compile_spec(random_formula(rng, n_x, agent_dims, depth=3, max_interval=3))
+            cs = stl.compile_spec(stl.to_pnf(random_formula(rng, n_x, agent_dims, depth=3, max_interval=3)))
             k = int(rng.integers(0, cs.horizon + 1))
             ctx, radii = make_ctx(MilpModel(), cs.horizon, k, n_x, agent_dims, rng)
             for key in radii:

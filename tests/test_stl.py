@@ -157,6 +157,29 @@ class TestSemantics:
         assert not eval_boolean(f, tr, 0)
         assert eval_boolean(f, tr, 1)
 
+    # Negation is exact: evaluation never rewrites to positive normal form,
+    # whose negated atoms carry NEGATION_MARGIN and whose !true is an atom.
+
+    def test_negated_true_is_minus_infinity(self):
+        tr = traj1([0], [0])
+        assert eval_robustness(Not(TrueNode()), tr, 0) == -math.inf
+        assert not eval_boolean(Not(TrueNode()), tr, 0)
+
+    def test_negated_atom_on_its_boundary(self):
+        f = parse("!(x1 >= 0)", SIG1)
+        tr = traj1([0], [0])
+        assert not eval_boolean(f, tr, 0)
+        assert eval_robustness(f, tr, 0) == 0.0
+
+    def test_negated_until_matches_oracle(self):
+        f = Not(parse("(x1 >= 0) U[0,2] (y1 >= 1)", SIG1))
+        # the second run misses its only witness by 5e-10, inside the PNF margin
+        for xs, ys in (([0, 0, 0], [0, 0, 0]), ([-5e-10, 1, 1], [1, 0, 0]), ([1, -1, 1], [0, 0, 2])):
+            tr = traj1(xs, ys)
+            assert eval_robustness(f, tr, 0) == helpers.oracle_robustness(f, tr, 0)
+            assert eval_boolean(f, tr, 0) == helpers.oracle_boolean(f, tr, 0)
+        assert eval_boolean(f, traj1([-5e-10, 1, 1], [1, 0, 0]), 0)
+
 
 class TestPnf:
     def test_negated_atom_gets_margin(self):
@@ -290,8 +313,8 @@ def test_pnf_preserves_horizon_and_truth(ft):
 
 def test_box_helpers():
     sig = SignalMap.default(2, [])
-    inside = stl.box_inside(sig, ["x1", "x2"], [0, 0], [2, 2])
-    outside = stl.box_outside(sig, ["x1", "x2"], [0, 0], [2, 2])
+    inside = helpers.box_inside(sig, ["x1", "x2"], [0, 0], [2, 2])
+    outside = helpers.box_outside(sig, ["x1", "x2"], [0, 0], [2, 2])
     tr = JointTrajectory(np.array([[1.0, 1.0], [5.0, 1.0]]), ())
     assert eval_boolean(inside, tr, 0) and not eval_boolean(outside, tr, 0)
     assert not eval_boolean(inside, tr, 1) and eval_boolean(outside, tr, 1)
