@@ -651,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stlcp",
         description="Control synthesis under STL tasks with conformal prediction regions.",
-        epilog="Set STLCP_NODE_LIMIT to cap branch-and-bound nodes per solve.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in _COMMANDS:

@@ -19,9 +19,11 @@ forces a choice (one indicator per distinct disjunct occurrence, shared via a
 cache).  An indicator z carries the one-sided meaning [z = 1 implies the
 subformula holds with margin eps], which is sufficient because PNF formulas
 are monotone in their leaves.  Quantitative mode carries the worst-case
-robustness as a linear expression, with one-hot selector binaries and
-channeling rows realizing the min/max lattice exactly; the root is then
-pinned above eps_r.
+robustness as a linear expression and bounds each min/max gate from above
+only: the root is monotone in every gate, so root >= eps_r (or maximising
+the root) needs no rows from below.  Min gates need no binaries; max gates
+get one selector per operand and a cover row.  A gate variable is then a
+certified lower bound on the robustness it stands for, not its value.
 """
 
 from __future__ import annotations
@@ -248,15 +250,19 @@ class _AtomTable:
         cand[self._linear] = np.maximum(np.abs(lo), np.abs(hi))
         return 2.0 * float(np.max(cand[np.isfinite(cand)], initial=1.0))
 
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """Per instance, its tightened value at state trajectory xs (rows
+        0..t_phi): the constant, plus the state part of linear instances."""
+        out = self._const.copy()
+        out[self._linear] += self._accumulate(np.zeros(int(self._linear.sum())), lambda c, t, d: c * xs[t, d])
+        return out
+
     def holds(self, ctx: EncodingContext, xs: np.ndarray) -> np.ndarray:
         """Per instance, whether state trajectory xs satisfies it: linear
         instances by the row margin eps, less a 1e-9 slack for float echo
         when xs sits exactly on an active row; constants by their sign."""
-        out = self._const >= 0.0
-        value = self._const[self._linear] + self._accumulate(
-            np.zeros(int(self._linear.sum())), lambda c, t, d: c * xs[t, d])
-        out[self._linear] = value >= ctx.eps - 1e-9
-        return out
+        value = self.values(xs)
+        return np.where(self._linear, value >= ctx.eps - 1e-9, value >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +398,13 @@ def _encode_quant(ctx, enc, cache, nid: int, tau: int):
 
 
 def _quant_gate(ctx, enc, op: str, handles: list, label: str):
-    """Exact min/max of affine robustness terms via one-hot selectors."""
-    sign = 1.0 if op == "min" else -1.0
+    """Upper bound r on the min/max of affine robustness terms.  The root of
+    a PNF formula is monotone in every gate, so r <= min/max is all that
+    certifying root >= eps_r, or maximising it, needs: a min gate gets rows
+    r <= e_i and no binaries, a max gate r <= e_i + M2 (1 - p_i) and one
+    cover row sum p_i >= 1."""
     neutral = math.inf if op == "min" else -math.inf
+    pick = min if op == "min" else max
     kids = []
     const_fold = neutral
     for h in handles:
@@ -402,9 +412,8 @@ def _quant_gate(ctx, enc, op: str, handles: list, label: str):
             if not any(_same_handle(h, other) for other in kids):
                 kids.append(h)
         else:
-            v = float(h)
-            const_fold = min(const_fold, v) if op == "min" else max(const_fold, v)
-    if const_fold == (-math.inf if op == "min" else math.inf):
+            const_fold = pick(const_fold, float(h))
+    if const_fold == -neutral:
         return const_fold  # an infinitely bad (good) branch dominates
     if math.isfinite(const_fold):
         kids.append(const_fold)
@@ -414,21 +423,21 @@ def _quant_gate(ctx, enc, op: str, handles: list, label: str):
         return kids[0]
     M2 = 2.0 * ctx.big_m
     rbar = ctx.model.add_continuous(f"r_{label}", -ctx.big_m, ctx.big_m)
-    sels = [ctx.model.add_binary(f"p_{label}_{i}") for i in range(len(kids))]
+    sels = [ctx.model.add_binary(f"p_{label}_{i}") for i in range(len(kids))] if op == "max" else []
     enc.n_binaries += len(sels)
-    ctx.model.add_constraint({p: 1.0 for p in sels}, "=", 1.0, name=f"{label}_onehot")
     exprs = [_as_expr(h) for h in kids]
     for i, e in enumerate(exprs):
-        # rbar <= e_i (min) / rbar >= e_i (max)
-        row = {rbar: sign}
+        # rbar <= e_i, relaxed by M2 (1 - p_i) in a max gate
+        row = {rbar: 1.0}
         for v, c in e.coeffs.items():
-            row[v] = row.get(v, 0.0) - sign * c
-        ctx.model.add_constraint(row, "<=", sign * e.const, name=f"{label}_dom{i}")
-        # channeling: selector i pins rbar to e_i from the other side
-        row = {rbar: -sign, sels[i]: M2}
-        for v, c in e.coeffs.items():
-            row[v] = row.get(v, 0.0) + sign * c
-        ctx.model.add_constraint(row, "<=", M2 - sign * e.const, name=f"{label}_pin{i}")
+            row[v] = row.get(v, 0.0) - c
+        rhs = e.const
+        if sels:
+            row[sels[i]] = M2
+            rhs += M2
+        ctx.model.add_constraint(row, "<=", rhs, name=f"{label}_dom{i}")
+    if sels:
+        ctx.model.add_constraint({p: 1.0 for p in sels}, ">=", 1.0, name=f"{label}_cover")
     enc.registry.append(("sel", op, rbar, sels, exprs))
     return rbar
 
@@ -484,8 +493,10 @@ def suggest_assignment(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> d
 
 def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tuple[dict[int, int], dict[int, float]]:
     """suggest_assignment plus the values the encoding's own continuous
-    variables (selector gates, root) take at that trajectory, so a caller can
-    assemble a complete solution vector without re-solving."""
+    variables (gates, root) take at that trajectory: each gate's exact
+    min/max, with its argmax selected in a max gate, which the one-sided gate
+    rows admit.  So a caller can assemble a complete solution vector without
+    re-solving."""
     xs = np.asarray(xs, dtype=float)
     vals: dict[int, float] = {}
     for tau, vids in ctx.state_vars.items():

@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +36,8 @@ INTEGRALITY_TOL = 1e-7
 GAP_TOL = 1e-6
 _PIVOT_TOL = 1e-9
 
-#: Environment variable capping branch-and-bound nodes.
-NODE_LIMIT_ENV = "STLCP_NODE_LIMIT"
+#: Branch-and-bound nodes per solve unless the caller passes node_limit.
+NODE_LIMIT = 200000
 
 
 class MilpError(RuntimeError):
@@ -627,7 +626,7 @@ def solve_bb(
     pruned-bound, pruned-infeasible).
     """
     if node_limit is None:
-        node_limit = int(os.environ.get(NODE_LIMIT_ENV, "200000"))
+        node_limit = NODE_LIMIT
     c, A, eq, b, lb, ub = model.arrays()
     arr = _Arrays(c, A, eq, b, lb, ub)
     binaries = model.binary_ids()

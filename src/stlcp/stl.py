@@ -581,30 +581,6 @@ def to_pnf(f: Formula, negate: bool = False) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_pnf(f: Formula) -> bool:
-    if isinstance(f, Not):
-        return False
-    if isinstance(f, (And, Or)):
-        return all(is_pnf(c) for c in f.children)
-    if isinstance(f, (Always, Eventually)):
-        return is_pnf(f.child)
-    if isinstance(f, Until):
-        return is_pnf(f.left) and is_pnf(f.right)
-    return True
-
-
-def collect_predicates(f: Formula, base_time: int = 0) -> list[tuple[AffinePredicate, tuple[int, ...]]]:
-    """Distinct predicates of a PNF formula with their occurrence times.
-
-    Returns pairs in first-visit order; times are absolute, assuming the
-    formula is applied at base_time.
-    """
-    if not is_pnf(f):
-        raise ValueError("collect_predicates expects positive normal form")
-    cs = compile_spec(f)
-    return [(p, tuple((base_time + cs.atom_tau[cs.atom_pred == i]).tolist())) for i, p in enumerate(cs.predicates)]
-
-
 # ---------------------------------------------------------------------------
 # compilation for repeated encoding
 
@@ -631,7 +607,7 @@ class CompiledSpec:
     Equal subformulas share one node, and a node's children have lower ids.
     The distinct predicates come in first-visit order with stacked,
     zero-padded coefficients.  Atom instance j is predicate atom_pred[j] at
-    time atom_tau[j], in collect_predicates order; atom_index[p, tau] = j.
+    time atom_tau[j], by predicate and then time; atom_index[p, tau] = j.
     agent_times[i] lists when atoms read agent i.
     """
 
@@ -781,10 +757,11 @@ class JointTrajectory:
     ys: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writeable
+        xs = np.array(self.xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        ys = tuple(np.asarray(y, dtype=float) for y in self.ys)
+        ys = tuple(np.array(y, dtype=float) for y in self.ys)
         ys = tuple(y[:, None] if y.ndim == 1 else y for y in ys)
         for y in ys:
             if y.shape[0] != xs.shape[0]:

@@ -412,7 +412,7 @@ class ControlResult:
     us: np.ndarray | None = None
     xs: np.ndarray | None = None
     objective: float | None = None
-    root_value: float | None = None  # 1.0 (qualitative) or the robustness bound
+    root_value: float | None = None  # 1.0 (qualitative) or the plan's tightened robustness
     nodes: int = 0
     iterations: int = 0
     records: list[StepRecord] = field(default_factory=list)
@@ -426,13 +426,13 @@ class ControlResult:
         return self.status == "optimal"
 
 
-def _root_value(sm: StepModel, sol: Solution) -> float | None:
+def _root_value(sm: StepModel, sol: Solution) -> float:
+    """1.0 in qualitative mode, else the plan's tightened robustness, folded
+    from its atom values: the root variable is only a lower bound on it."""
     if sm.ctx.mode == "qual":
         return 1.0
-    if sm.root is not None:
-        return float(sol.x[sm.root])
-    r = sm.enc.root
-    return float(r) if isinstance(r, float) else None
+    atoms = sm.enc.atoms
+    return float(atoms.fold(atoms.values(sm.plan_states(sol.x)))[atoms.spec.root, 0])
 
 
 def _checked(sm: StepModel, sol: Solution, source: str) -> Solution:

@@ -8,13 +8,12 @@ independent routes to the same answer.
 import heapq
 import itertools
 import math
-import os
 
 import numpy as np
 
 from stlcp import encoding, stl
 from stlcp.encoding import EncodingError
-from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT_ENV, MilpModel, Solution, _Arrays, _solve_fixed
+from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT, MilpModel, Solution, _Arrays, _solve_fixed
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +115,35 @@ def box_outside(signals, names, lo, hi, label=""):
         atoms.append(stl.Pred(signals.predicate({n: -1.0}, float(l), name=f"{label}:{n}<={l}")))
         atoms.append(stl.Pred(signals.predicate({n: 1.0}, -float(h), name=f"{label}:{n}>={h}")))
     return stl.Or(tuple(atoms))
+
+
+# ---------------------------------------------------------------------------
+# formula queries only the tests use
+
+
+def is_pnf(f) -> bool:
+    if isinstance(f, stl.Not):
+        return False
+    if isinstance(f, (stl.And, stl.Or)):
+        return all(is_pnf(c) for c in f.children)
+    if isinstance(f, (stl.Always, stl.Eventually)):
+        return is_pnf(f.child)
+    if isinstance(f, stl.Until):
+        return is_pnf(f.left) and is_pnf(f.right)
+    return True
+
+
+def collect_predicates(f, base_time=0):
+    """Distinct predicates of a PNF formula with their occurrence times, read
+    off its compile_spec.
+
+    Returns pairs in first-visit order; times are absolute, assuming the
+    formula is applied at base_time.
+    """
+    if not is_pnf(f):
+        raise ValueError("collect_predicates expects positive normal form")
+    cs = stl.compile_spec(f)
+    return [(p, tuple((base_time + cs.atom_tau[cs.atom_pred == i]).tolist())) for i, p in enumerate(cs.predicates)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +273,7 @@ def oracle_solve_bb(
     constant objective the solve finishes without touching the relaxation.
     """
     if node_limit is None:
-        node_limit = int(os.environ.get(NODE_LIMIT_ENV, "200000"))
+        node_limit = NODE_LIMIT
     c, A, eq, b, lb, ub = model.arrays()
     arr = _Arrays(c, A, eq, b, lb, ub)
     binaries = model.binary_ids()
@@ -490,3 +518,18 @@ def oracle_known_truth(ctx, f, tau):
     if any(b is decisive for b in bits):
         return decisive
     return (not decisive) if all(b is not None for b in bits) else None
+
+
+def oracle_tightened_robustness(ctx, f, tau, xs):
+    """Robustness of a PNF formula at tau with every atom at its tightened
+    value (oracle_atom_expr) for state trajectory xs, by a direct walk."""
+    if isinstance(f, stl.TrueNode):
+        return math.inf
+    if isinstance(f, stl.Pred):
+        e = oracle_atom_expr(ctx, f.predicate, tau)
+        if isinstance(e, float):
+            return e
+        return e.value({v: float(xs[tau, d]) for d, v in enumerate(ctx.state_vars[tau])})
+    kind, pairs = oracle_children(f, tau)
+    vals = [oracle_tightened_robustness(ctx, c, t, xs) for c, t in pairs]
+    return min(vals) if kind == "and" else max(vals)

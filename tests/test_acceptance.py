@@ -179,6 +179,7 @@ def test_c06_encoding_soundness(leader_bundle):
     b = leader_bundle
     sc = b.sc
     spec = build_robot_specs(sc)[0]
+    cs = stl.compile_spec(spec)  # evaluated 8000 times below
     t_phi = sc.horizon
     table = b.predictor.table
     predictions = {(tau, 0): table.get(0, tau, 0) for tau in range(1, t_phi + 1)}
@@ -213,7 +214,7 @@ def test_c06_encoding_soundness(leader_bundle):
         )
         assert res.status == "optimal" and res.root_value == 1.0, f"instance {j}"
         for ys in sample_realizations(rd.open_radius, 200):
-            n_sat += int(stl.eval_boolean(spec, stl.JointTrajectory(res.xs, (ys,)), 0))
+            n_sat += int(stl.eval_boolean(cs, stl.JointTrajectory(res.xs, (ys,)), 0))
 
         sm = build_step_model(
             sys_j, spec, 0, {0: sys_j.x0}, {(0, 0): y0}, predictions, rd.open_radius,
@@ -227,7 +228,7 @@ def test_c06_encoding_soundness(leader_bundle):
         root = sol.x[sm.root]
         xs_q = sm.plan_states(sol.x)
         for ys in sample_realizations(rd.open_radius, 200):
-            rho = stl.eval_robustness(spec, stl.JointTrajectory(xs_q, (ys,)), 0)
+            rho = stl.eval_robustness(cs, stl.JointTrajectory(xs_q, (ys,)), 0)
             min_margin = min(min_margin, rho - root)
     elapsed = time.perf_counter() - t0
     bool_ok = n_sat == 20 * 200

@@ -12,6 +12,7 @@ from helpers import (
     oracle_collect_predicates,
     oracle_known_truth,
     oracle_robustness,
+    oracle_tightened_robustness,
     random_formula,
     select_big_m,
     tightened_offset,
@@ -39,7 +40,7 @@ from stlcp.encoding import (
     suggest_assignment,
 )
 from stlcp.milp import MilpModel, solve_bb
-from stlcp.synthesis import build_step_model
+from stlcp.synthesis import SystemModel, build_step_model, synthesize_open_loop
 
 
 def pred_xy(cx, cy, offset, name="p"):
@@ -536,6 +537,72 @@ class TestEncodeAndSolve:
             assert warm.nodes == 0  # dive alone proved feasibility
             done += 1
         assert done >= 8
+
+
+class TestOneSidedGates:
+    """Quantitative gates bound their min/max from above only, so the root
+    variable is a certified lower bound on the plan's tightened robustness,
+    tight when the root is maximised."""
+
+    @staticmethod
+    def folded(enc, xs):
+        atoms = enc.atoms
+        return float(atoms.fold(atoms.values(xs))[atoms.spec.root, 0])
+
+    def test_root_bounds_tightened_robustness(self):
+        rng = np.random.default_rng(4242)
+        checked = max_gates = 0
+        for _ in range(60):
+            n_x = int(rng.integers(1, 3))
+            agent_dims = tuple(int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 3))))
+            f = stl.to_pnf(random_formula(rng, n_x, agent_dims, depth=2, max_interval=2))
+            t_phi = stl.horizon(f)
+            if t_phi == 0 or t_phi > 5:
+                continue
+            k = int(rng.integers(0, min(1, t_phi - 1) + 1))
+            model = MilpModel()
+            ctx, _ = make_ctx(model, t_phi, k, n_x, agent_dims, rng, mode="quant")
+            enc = encode(ctx, f)
+            root = require(ctx, enc)
+            if root is None:
+                continue
+            for objective in ({}, {root: -1.0}):  # zero cost, then max-robustness
+                model.set_objective(objective)
+                sol = solve_bb(model)
+                if sol.status != "optimal":
+                    break
+                xs = assemble_states(ctx, sol)
+                rho = self.folded(enc, xs)
+                assert rho == pytest.approx(oracle_tightened_robustness(ctx, f, 0, xs), abs=1e-9)
+                assert sol.x[root] <= rho + 1e-7, f
+                if objective:
+                    assert sol.x[root] == pytest.approx(rho, abs=1e-7), f
+                    checked += 1
+                    max_gates += any(e[0] == "sel" and e[1] == "max" for e in enc.registry)
+        assert checked >= 15 and max_gates >= 10
+
+    def test_root_value_is_folded_robustness(self):
+        rng = np.random.default_rng(4343)
+        checked = 0
+        for _ in range(40):
+            f = random_formula(rng, 1, (1,), depth=2, max_interval=2)
+            t_phi = stl.horizon(f)
+            if t_phi == 0 or t_phi > 5:
+                continue
+            sys = SystemModel(a=[[1.0]], b=[[1.0]], c=[0.0], x0=[0.0],
+                              state_box=([-6.0], [6.0]), input_box=([-2.0], [2.0]))
+            y0 = {0: np.array([0.25 * rng.integers(-8, 9)])}
+            preds = {(tau, 0): np.array([0.25 * rng.integers(-8, 9)]) for tau in range(1, t_phi + 1)}
+            radius = lambda tau, i: 0.1 * tau
+            res = synthesize_open_loop(sys, f, y0, preds, radius, mode="quant")
+            if res.status != "optimal":
+                continue
+            sm = build_step_model(sys, f, 0, {0: sys.x0}, {(0, 0): y0[0]}, preds, radius, mode="quant")
+            rho = oracle_tightened_robustness(sm.ctx, stl.to_pnf(f), 0, res.xs)
+            assert res.root_value == pytest.approx(rho, abs=1e-9), f
+            assert res.root_value >= EPS_ROBUST - 1e-9
+            checked += 1
+        assert checked >= 10
 
 
 class TestValidation:

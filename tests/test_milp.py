@@ -265,16 +265,23 @@ class TestBranchAndBound:
         sol = solve_bb(m, hint={z0: 1, z1: 1})  # feasible but suboptimal start
         assert sol.objective == pytest.approx(1.0)
 
-    def test_node_limit_param_and_env(self, monkeypatch):
+    def test_node_limit_param(self):
         rng = np.random.default_rng(4)
         model = random_milp(rng, 8)
         full = solve_bb(model)
         if full.nodes > 1:
             capped = solve_bb(model, node_limit=1)
             assert capped.nodes <= 1
-        monkeypatch.setenv("STLCP_NODE_LIMIT", "1")
-        capped = solve_bb(model)
-        assert capped.nodes <= 1
+
+    def test_node_limit_caps_the_search(self):
+        # at most two of five binaries fit, so the relaxation is fractional
+        m = MilpModel()
+        zs = [m.add_binary(f"z{i}") for i in range(5)]
+        m.add_constraint({z: 2.0 for z in zs}, "<=", 5.0)
+        m.set_objective({z: -1.0 - 0.1 * i for i, z in enumerate(zs)})
+        assert solve_bb(m).nodes > 1
+        capped = solve_bb(m, node_limit=1)
+        assert capped.status == "limit" and capped.nodes <= 1
 
     def test_fixed_binary_honored(self):
         m = MilpModel()

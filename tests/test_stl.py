@@ -19,7 +19,6 @@ from stlcp.stl import (
     TrajectoryTooShortError,
     TrueNode,
     Until,
-    collect_predicates,
     eval_boolean,
     eval_robustness,
     format_formula,
@@ -29,6 +28,7 @@ from stlcp.stl import (
 )
 
 import helpers
+from helpers import collect_predicates, is_pnf
 
 SIG1 = SignalMap.default(1, [1])
 
@@ -213,7 +213,7 @@ class TestPnf:
         rng = np.random.default_rng(5)
         for _ in range(100):
             f = helpers.random_formula(rng, depth=3)
-            assert stl.is_pnf(to_pnf(f))
+            assert is_pnf(to_pnf(f))
 
 
 class TestCollectPredicates:
@@ -318,3 +318,12 @@ def test_box_helpers():
     tr = JointTrajectory(np.array([[1.0, 1.0], [5.0, 1.0]]), ())
     assert eval_boolean(inside, tr, 0) and not eval_boolean(outside, tr, 0)
     assert not eval_boolean(inside, tr, 1) and eval_boolean(outside, tr, 1)
+
+
+def test_joint_trajectory_leaves_caller_arrays_writeable():
+    xs, y = np.zeros((3, 1)), np.zeros((3, 2))
+    tr = JointTrajectory(xs, (y,))
+    xs[0] = 1.0
+    y[0] = 1.0
+    assert tr.xs[0, 0] == 0.0 and tr.ys[0][0, 0] == 0.0
+    assert not tr.xs.flags.writeable and not tr.ys[0].flags.writeable
