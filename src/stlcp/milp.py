@@ -6,7 +6,10 @@ never become extra rows).  Dantzig pricing switches to Bland's rule after a
 long degenerate streak to rule out cycling.
 
 Binaries are handled by branch and bound on the most fractional variable
-with deterministic tie-breaking (lowest variable id).  The primal simplex
+with deterministic tie-breaking (lowest variable id).  Before the root LP a
+presolve propagates activity bounds over the rows to a fixpoint: it refutes
+a root that no point of the box satisfies within the LP core's row
+tolerance, and fixes every binary the rows imply.  The primal simplex
 solves only the root.  Every other node is warm-started from its parent's
 basis: a child fixes one binary through its bounds, so the parent basis
 stays dual feasible and a bounded dual simplex restores primal feasibility
@@ -353,20 +356,28 @@ def _lp_bounded(c, A, eq, b, lb, ub, maxiter: int | None = None):
     return "optimal", x, float(c @ x), iters, (cbasis, cstat)
 
 
+def _activity(A, lb, ub):
+    """Smallest and largest value of each row's A x over the box [lb, ub];
+    -inf or +inf where a column with an infinite bound can push it."""
+    pos = np.clip(A, 0.0, None)
+    neg = np.clip(A, None, 0.0)
+    lo_fin, hi_fin = np.isfinite(lb), np.isfinite(ub)
+    lo, hi = np.where(lo_fin, lb, 0.0), np.where(hi_fin, ub, 0.0)
+    lo_act = pos @ lo + neg @ hi
+    hi_act = pos @ hi + neg @ lo
+    if not (lo_fin.all() and hi_fin.all()):
+        lo_inf, hi_inf = (~lo_fin).astype(float), (~hi_fin).astype(float)
+        lo_act[(pos @ lo_inf > 0.0) | (neg @ hi_inf < 0.0)] = -np.inf
+        hi_act[(pos @ hi_inf > 0.0) | (neg @ lo_inf < 0.0)] = np.inf
+    return lo_act, hi_act
+
+
 def _quick_row_screen(A, eq, b, lb, ub):
     """Drop '<=' rows that no point in the bound box can violate; detect rows
     no point can satisfy.  Returns (keep_mask, feasible)."""
     if A.shape[0] == 0:
         return np.zeros(0, dtype=bool), True
-    pos = np.clip(A, 0.0, None)
-    neg = np.clip(A, None, 0.0)
-    with np.errstate(invalid="ignore"):
-        hi_act = pos @ np.where(np.isfinite(ub), ub, 0.0) + neg @ np.where(np.isfinite(lb), lb, 0.0)
-        hi_act[np.any((pos > 0) & ~np.isfinite(ub)[None, :], axis=1)] = np.inf
-        hi_act[np.any((neg < 0) & ~np.isfinite(lb)[None, :], axis=1)] = np.inf
-        lo_act = pos @ np.where(np.isfinite(lb), lb, 0.0) + neg @ np.where(np.isfinite(ub), ub, 0.0)
-        lo_act[np.any((pos > 0) & ~np.isfinite(lb)[None, :], axis=1)] = -np.inf
-        lo_act[np.any((neg < 0) & ~np.isfinite(ub)[None, :], axis=1)] = -np.inf
+    lo_act, hi_act = _activity(A, lb, ub)
     tol = FEASIBILITY_TOL
     if np.any(lo_act > b + tol):
         return None, False
@@ -374,6 +385,58 @@ def _quick_row_screen(A, eq, b, lb, ub):
         return None, False
     keep = eq | (hi_act > b + tol)
     return keep, True
+
+
+_PROPAGATION_ROUNDS = 50  # presolve passes at most; each tightens every column at once
+_MIN_TIGHTEN = 1e-2  # share of a continuous column's range a new bound must cut off
+_ROUND_EPS = 1e-9  # floating-point allowance before rounding or calling bounds crossed
+
+
+def _propagate(A, eq, b, lb, ub, binary, tol):
+    """Activity-bound propagation (Savelsbergh 1994; Achterberg 2007).
+
+    Every row is A x <= b, and an equality row also -A x <= -b.  A row's
+    smallest activity over the box, plus tol, leaves each of its columns
+    room for an implied bound; a binary's implied bound is rounded to an
+    integer.  Rounds repeat to a fixpoint, at most _PROPAGATION_ROUNDS.
+    Every bound derived this way holds for each point of the box that
+    violates no row by more than tol, which is the row violation the LP
+    core accepts, so no point that it could return is cut off.
+
+    Returns the box with every binary the rows imply fixed, and every other
+    bound as given: a derived continuous bound carries the row tolerance,
+    and the LP could settle on it, past its row.  None when some row's
+    smallest activity exceeds its right-hand side by more than tol, or a
+    column's bounds cross."""
+    G = np.vstack([A, -A[eq]])
+    h = np.concatenate([b, -b[eq]])
+    up, down = G > 0.0, G < 0.0
+    inv = np.zeros_like(G)
+    inv[up | down] = 1.0 / G[up | down]
+    lo, hi = lb.copy(), ub.copy()
+    for _ in range(_PROPAGATION_ROUNDS):
+        lo_act, _ = _activity(G, lo, hi)
+        room = h + tol - lo_act  # +inf where an infinite bound leaves a row open
+        if np.any(room < 0.0):
+            return None
+        with np.errstate(invalid="ignore"):
+            q = room[:, None] * inv
+            new_hi = lo + np.min(np.where(up, q, np.inf), axis=0)
+            new_lo = hi + np.max(np.where(down, q, -np.inf), axis=0)
+        new_hi[binary] = np.floor(new_hi[binary] + _ROUND_EPS)
+        new_lo[binary] = np.ceil(new_lo[binary] - _ROUND_EPS)
+        width = hi - lo
+        cut = np.where(binary | np.isinf(width), 0.0, _MIN_TIGHTEN * width)
+        lower, lift = new_hi < hi - cut, new_lo > lo + cut
+        if not (lower.any() or lift.any()):
+            break
+        hi[lower], lo[lift] = new_hi[lower], new_lo[lift]
+        if np.any(lo > hi + _ROUND_EPS * (1.0 + np.abs(hi))):
+            return None
+    fixed = binary & (lo == hi)
+    lb, ub = lb.copy(), ub.copy()
+    lb[fixed], ub[fixed] = lo[fixed], hi[fixed]
+    return lb, ub
 
 
 @dataclass
@@ -608,7 +671,12 @@ def solve_bb(
 ) -> Solution:
     """Branch and bound on the most fractional binary, warm-started.
 
-    The root LP is solved once by the two-phase primal simplex.  Every later
+    Presolve first runs _propagate over the rows within
+    model.feasibility_tol().  If some row cannot be met anywhere in the box,
+    or a binary's implied bounds cross, the root is refuted: "infeasible"
+    after 1 node and no pivot.  Otherwise every binary the rows imply is
+    fixed, and the search runs on that box; continuous bounds are never
+    tightened.  The root LP is solved once by the two-phase primal simplex.  Every later
     node re-uses its parent's final basis: the child's one bound change
     leaves that basis dual feasible, and a bounded dual simplex restores
     primal feasibility in a few pivots.  The search plunges depth first:
@@ -660,15 +728,23 @@ def solve_bb(
             return Solution(status, iterations=iters)
         return Solution("optimal", x, obj + model.obj_const, iters, 1, 0.0)
 
-    # Rows that no point of the root box can violate stay slack in every
-    # node's smaller box, so the screen runs once.
+    # Presolve: propagation refutes the root or fixes the binaries it
+    # implies.  Rows that no point of the presolved box can violate stay
+    # slack in every node's smaller box, so the screen runs once.
     nodes = 1
-    keep, ok = _quick_row_screen(A, eq, b, lb, ub)
+    bins = np.asarray(binaries)
+    is_bin = np.zeros(len(c), dtype=bool)
+    is_bin[bins] = True
+    row_tol = model.feasibility_tol()
     status = "infeasible"
-    if ok:
-        Ak, eqk, bk = A[keep], eq[keep], b[keep]
-        status, _, _, iters, basis = _lp_bounded(c, Ak, eqk, bk, lb, ub)
-        total_iters += iters
+    box = _propagate(A, eq, b, lb, ub, is_bin, row_tol)
+    if box is not None:
+        lb, ub = box
+        keep, ok = _quick_row_screen(A, eq, b, lb, ub)
+        if ok:
+            Ak, eqk, bk = A[keep], eq[keep], b[keep]
+            status, _, _, iters, basis = _lp_bounded(c, Ak, eqk, bk, lb, ub)
+            total_iters += iters
     if status == "unbounded":
         return Solution("unbounded", iterations=total_iters, nodes=nodes)
     status_out = "limit" if status == "limit" else "optimal"
@@ -677,13 +753,9 @@ def solve_bb(
     if status == "infeasible":
         record("pruned-infeasible")
     elif status == "optimal":
-        bins = np.asarray(binaries)
-        is_bin = np.zeros(len(c), dtype=bool)
-        is_bin[bins] = True
         lp = _WarmLP(c, Ak, eqk, bk, lb, ub, is_bin)
         lp.load(*basis)
         maxiter = max(2000, 40 * sum(lp.T.shape))
-        row_tol = model.feasibility_tol()
         root_lo, root_hi = lb[bins], ub[bins]
         fix = np.where(root_lo == root_hi, root_lo, -1.0)  # a node's binary fixings; -1 is free
         depth = 0

@@ -401,6 +401,7 @@ class StepRecord:
     nodes: int
     iterations: int
     n_binaries: int
+    gap: float | None  # the search's optimality gap when a plan was applied
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
@@ -408,7 +409,7 @@ class StepRecord:
 
 @dataclass
 class ControlResult:
-    status: str  # optimal | infeasible | calibration-insufficient
+    status: str  # optimal (every step applied a checked plan) | infeasible | limit | calibration-insufficient
     us: np.ndarray | None = None
     xs: np.ndarray | None = None
     objective: float | None = None
@@ -436,10 +437,10 @@ def _root_value(sm: StepModel, sol: Solution) -> float:
 
 
 def _checked(sm: StepModel, sol: Solution, source: str) -> Solution:
-    """Every dive or search plan is checked against its step model before it
-    is applied, as reused plans are, within the row tolerance the LP core
-    itself accepts."""
-    if sol.status == "optimal":
+    """Every dive or search plan, a node-limited search's incumbent
+    included, is checked against its step model before it is applied, as
+    reused plans are, within the row tolerance the LP core itself accepts."""
+    if sol.x is not None:
         viol = sm.model.check_solution(sol.x, sm.model.feasibility_tol())
         if viol:
             worst = max(viol, key=lambda v: v["amount"])
@@ -549,8 +550,10 @@ def run_closed_loop(
     agent) the matching ball radius.  process_noise perturbs the simulated
     next state, for generation-style uses.  hint_xs/hint_us let step 0 start
     from an externally solved plan exactly as later steps start from the
-    previous one.  Aborts on the first infeasible step: a fallback control
-    would void the guarantee.
+    previous one.  A search that hits the node limit holding an incumbent
+    applies that checked plan, and its step keeps status "limit" with the
+    search's gap.  Aborts on the first step without a plan: a fallback
+    control would void the guarantee.
     """
     cs = compile_spec(to_pnf(spec))
     t_phi = cs.horizon
@@ -601,13 +604,13 @@ def run_closed_loop(
             sm, hint_states, prev_us, reuse=reuse_plan, accept_dive=accept_dive, node_limit=node_limit,
         )
         radii_used = {f"{tau},{i}": float(radius(k, tau, i)) for (tau, i) in sorted(preds)}
-        if sol.status != "optimal":
+        if sol.x is None:
             records.append(StepRecord(
                 k=k, status=sol.status, solved_by=solved_by, objective=None, u=None,
                 x=[float(v) for v in xs[k]],
                 y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
                 radii=radii_used, nodes=sol.nodes, iterations=sol.iterations,
-                n_binaries=len(sm.model.binary_ids()),
+                n_binaries=len(sm.model.binary_ids()), gap=None,
             ))
             return finish(_failure_status(sm, sol), k)
         plan_xs = sm.plan_states(sol.x)
@@ -629,7 +632,7 @@ def run_closed_loop(
             u=[float(v) for v in u_k], x=[float(v) for v in xs[k]],
             y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
             radii=radii_used, nodes=sol.nodes, iterations=sol.iterations,
-            n_binaries=len(sm.model.binary_ids()),
+            n_binaries=len(sm.model.binary_ids()), gap=float(sol.gap),
         ))
         prev_xs, prev_us = plan_xs, plan_us
 

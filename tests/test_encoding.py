@@ -451,7 +451,7 @@ class TestEncodeAndSolve:
                 enc = encode(ctx, f)
                 require(ctx, enc)
                 feas[mode] = solve_bb(model).status == "optimal"
-            assert feas["qual"] == feas["quant"], stl.format_formula(f)
+            assert feas["qual"] == feas["quant"], stl.format_formula(f, stl.SignalMap.default(1, (1,)))
             both[feas["qual"]] += 1
         assert both[True] >= 5 and both[False] >= 1
 

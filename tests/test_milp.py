@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from stlcp.milp import (
     Solution,
     _Arrays,
     _lp_bounded,
+    _propagate,
     _solve_fixed,
     _WarmLP,
     solve_bb,
@@ -434,6 +437,117 @@ class TestWarmStart:
                 if sol.status == "optimal":
                     assert model.check_solution(sol.x, model.feasibility_tol()) == []
         assert solve_bb(rooms[2][0]).status == solve_bb(rooms[6][0]).status == "infeasible"
+
+
+def presolve(model: MilpModel):
+    c, A, eq, b, lb, ub = model.arrays()
+    is_bin = np.zeros(len(c), dtype=bool)
+    is_bin[model.binary_ids()] = True
+    return _propagate(A, eq, b, lb, ub, is_bin, model.feasibility_tol())
+
+
+def assert_continuous_bounds_kept(model: MilpModel, box) -> None:
+    cont = [j for j, v in enumerate(model.vars) if not v.is_binary]
+    assert [box[0][j] for j in cont] == [model.vars[j].lb for j in cont]
+    assert [box[1][j] for j in cont] == [model.vars[j].ub for j in cont]
+
+
+def feasible_assignments(model: MilpModel) -> list[dict[int, float]]:
+    """Every 0/1 assignment of the free binaries that extends to a point
+    violating no row by more than feasibility_tol() (HiGHS LP per
+    assignment)."""
+    c, A, eq, b, lb, ub = model.arrays()
+    tol = model.feasibility_tol()
+    free = [j for j in model.binary_ids() if lb[j] < ub[j]]
+    rows = np.vstack([A, -A[eq]])
+    rhs = np.concatenate([b, -b[eq]]) + tol
+    out = []
+    for bits in itertools.product((0.0, 1.0), repeat=len(free)):
+        lo, hi = lb.copy(), ub.copy()
+        lo[free] = hi[free] = bits
+        res = scipy_opt.linprog(np.zeros(len(c)), A_ub=rows, b_ub=rhs, bounds=list(zip(lo, hi)), method="highs")
+        assert res.status in (0, 2), res.message
+        if res.status == 0:
+            out.append(dict(zip(free, bits)))
+    return out
+
+
+class TestPresolve:
+    """Activity-bound propagation before the root LP: it may fix a binary
+    only to the value every tolerance-feasible assignment gives it, refute
+    only a model no assignment satisfies, and never move a continuous
+    bound."""
+
+    def test_fixings_agree_with_every_feasible_assignment(self):
+        rng = np.random.default_rng(6060)
+        fixed_seen = refuted = 0
+        for trial in range(40):
+            model = random_milp(rng, int(rng.integers(2, 9)))
+            bins = model.binary_ids()
+            if trial % 3 == 1:
+                zs = rng.choice(bins, size=min(len(bins), int(rng.integers(2, 4))), replace=False)
+                model.add_constraint({int(z): 2.0 for z in zs}, "=", float(2 * int(rng.integers(0, len(zs))) + 1))
+            elif trial % 3 == 2:
+                # an unanchored row over the binaries: some models lose every assignment
+                zs = rng.choice(bins, size=min(len(bins), 4), replace=False)
+                model.add_constraint({int(z): float(rng.normal()) for z in zs}, ">=", float(rng.uniform(0.0, 2.0)))
+            feasible = feasible_assignments(model)
+            box = presolve(model)
+            if box is None:
+                refuted += 1
+                assert feasible == [], f"trial {trial}"
+                continue
+            assert_continuous_bounds_kept(model, box)
+            lb, ub = box
+            for j in bins:
+                if lb[j] == ub[j]:
+                    fixed_seen += 1
+                    assert all(a[j] == lb[j] for a in feasible), f"trial {trial}, binary {j}"
+        assert fixed_seen >= 10 and refuted >= 10
+
+    def test_temperature_rooms_refuted_at_the_root(self):
+        rooms = temperature_step_models()
+        for j in (2, 6):
+            model = rooms[j][0]
+            log = []
+            sol = solve_bb(model, log=log)
+            assert (sol.status, sol.nodes, sol.iterations) == ("infeasible", 1, 0), f"room {j}"
+            assert [e["event"] for e in log] == ["pruned-infeasible"]
+            assert not highs_feasible(model)
+
+    def test_equality_rows_count_in_both_directions(self):
+        # z0 + z1 + z2 = 1: fixing z0 = 1 drops the others ('<=' direction),
+        # fixing z1 = z2 = 0 raises z0 ('>=' direction)
+        for pins in ({0: 1.0}, {1: 0.0, 2: 0.0}):
+            m = MilpModel()
+            zs = [m.add_binary(f"z{i}") for i in range(3)]
+            m.add_constraint({z: 1.0 for z in zs}, "=", 1.0)
+            for i, v in pins.items():
+                m.fix_var(zs[i], v)
+            lb, ub = presolve(m)
+            assert list(lb[zs]) == list(ub[zs]) == [1.0, 0.0, 0.0], pins
+
+    def test_rows_met_only_within_the_tolerance_stay_feasible(self):
+        # z >= 1 + d and z <= 1 - d are violated by d < feasibility_tol() at
+        # z = 1, which the LP core accepts; presolve must agree
+        for sense, rhs in ((">=", 1.0 + 5e-8), ("<=", 1.0 - 5e-8)):
+            m = MilpModel()
+            z = m.add_binary("z")
+            x = m.add_continuous("x", 0.0, 1.0)
+            m.add_constraint({z: 1.0}, sense, rhs)
+            m.add_constraint({x: 1.0, z: 1.0}, "<=", 1.5)
+            m.set_objective({z: -1.0, x: -0.25})
+            assert presolve(m) is not None
+            sol = solve_bb(m)
+            assert sol.status == "optimal", sense
+            assert round(sol.x[z]) == 1 and sol.objective == pytest.approx(-1.125, abs=1e-6)
+            assert m.check_solution(sol.x, m.feasibility_tol()) == []
+
+    def test_continuous_bounds_never_move(self):
+        # the dynamics rows imply far tighter state bounds than the box
+        for models in temperature_step_models(rooms=2):
+            for model in models:
+                assert_continuous_bounds_kept(model, presolve(model))
 
 
 class TestDiagnostics:

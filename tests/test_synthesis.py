@@ -352,6 +352,34 @@ class TestClosedLoop:
                 assert statuses[1] != "optimal" and statuses[2] != "optimal"
         assert found >= 5
 
+    def test_node_limited_search_applies_its_dive_incumbent(self):
+        # the k = 0 relaxation costs 0 on fractional binaries, so a one-node
+        # search stops at the limit holding the hint dive's plan, cost 1 + EPS
+        sys = integrator(xlo=-3.0, xhi=3.0)
+        spec = stl.Always(2, 3, stl.Or((atom([1.0], [(-1.0,)], -1.0), atom([-1.0], [(1.0,)], -1.0))))
+        y = np.zeros((4, 1))
+
+        def run(hint_x2, node_limit):
+            return run_closed_loop(
+                sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)}, lambda k, tau, i: 0.0,
+                cost=CostSpec("input-l1"), node_limit=node_limit, reuse_plan=False, accept_dive=False,
+                hint_xs=np.array([[0.0], [1.0], [hint_x2], [hint_x2]]),
+                hint_us={0: np.array([1.0]), 1: np.array([hint_x2 - 1.0]), 2: np.array([0.0])},
+            )
+
+        capped, full = run(2.0, 1), run(2.0, None)
+        first = capped.records[0]
+        assert (first.status, first.solved_by, first.u) == ("limit", "search", [1.0])
+        assert first.gap > 0.5
+        assert first.objective == pytest.approx(full.records[0].objective, abs=1e-9)
+        assert (full.records[0].status, full.records[0].gap) == ("optimal", 0.0)
+        assert capped.status == "optimal" and capped.satisfied is True
+        assert np.allclose(sys.simulate(capped.us), capped.xs, atol=1e-9)
+        # x2 = 1 misses the strict atom, so this dive fails: no plan, abort
+        aborted = run(1.0, 1)
+        assert aborted.status == "limit" and len(aborted.records) == 1
+        assert aborted.records[0].u is None and aborted.records[0].gap is None
+
     def test_playback_too_short_raises(self):
         sys = integrator()
         spec = stl.Always(1, 3, atom([1.0], [(-1.0,)], 0.0))
