@@ -291,7 +291,7 @@ def _solve_leader_nominal(sys: SystemModel, spec: CompiledSpec, sc: RobotScenari
     assign = suggest_assignment(sm.ctx, sm.enc, hint)
     sol = dive_solve(sm.model, assign)
     if sol.status != "optimal":
-        sol = solve_bb(sm.model, hint=assign)
+        sol = solve_bb(sm.model)
     if sol.status != "optimal":
         raise RuntimeError(f"leader nominal plan is {sol.status}")
     return sm.plan_states(sol.x), sm.plan_inputs(sol.x)
@@ -382,7 +382,7 @@ def _rollout_leader(
             sol = dive_solve(sm.model, assign)
             stats.dives += 1
             if sol.status != "optimal":
-                sol = solve_bb(sm.model, hint=assign)
+                sol = solve_bb(sm.model)
                 stats.searches += 1
             if sol.status != "optimal":
                 return None

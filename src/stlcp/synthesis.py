@@ -470,6 +470,7 @@ def _solve_step(
         sol = _checked(sm, dive_solve(sm.model, hint), "dive")
         if sol.status == "optimal":
             return sol, "dive"
+        hint = None  # as a search hint it would only repeat the failed dive
     sol = solve_bb(sm.model, node_limit=node_limit, hint=hint)
     return _checked(sm, sol, "search"), "search"
 

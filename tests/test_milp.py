@@ -16,10 +16,9 @@ from stlcp.milp import (
     MilpModel,
     Solution,
     _Arrays,
-    _lp_bounded,
+    _LP,
     _propagate,
     _solve_fixed,
-    _WarmLP,
     solve_bb,
     solve_lp,
     write_lp,
@@ -184,6 +183,49 @@ class TestLpCore:
         sol = solve_lp(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+
+    def test_rows_met_within_the_model_tolerance(self):
+        # x >= 1 + 5e-7 holds at x = 1 within feasibility_tol() = 1.1e-6,
+        # which the y <= 10 row sets although the screen drops that row
+        m = MilpModel()
+        x = m.add_continuous("x", 0, 1)
+        y = m.add_continuous("y", 0, 10)
+        m.add_constraint({x: 1}, ">=", 1 + 5e-7)
+        m.add_constraint({y: 1}, "<=", 10)
+        assert m.check_solution([1.0, 0.0], m.feasibility_tol()) == []
+        sol = solve_lp(m)
+        assert sol.status == "optimal" and m.check_solution(sol.x, m.feasibility_tol()) == []
+        # a root that presolve accepts is not refuted by the screen either
+        z = m.add_binary("z")
+        m.add_constraint({z: 1, y: 1}, "<=", 10.5)
+        assert presolve(m) is not None
+        sol = solve_bb(m)
+        assert sol.status == "optimal" and m.check_solution(sol.x, m.feasibility_tol()) == []
+
+    def test_artificial_left_basic_hands_its_row_slack_to_load(self):
+        # a repeated equality row keeps an artificial basic at zero to the
+        # end of primal(); in the basis it reports, that row's slack stands
+        # in, and load() must give back the primal's point and objective
+        rng = np.random.default_rng(2468)
+        handed_over = 0
+        for _ in range(60):
+            model = random_lp(rng)
+            mid = [0.5 * (v.lb + v.ub) for v in model.vars]
+            coeffs = {j: float(rng.normal()) for j in range(model.n_vars)}
+            rhs = sum(c * mid[j] for j, c in coeffs.items())
+            model.add_constraint(coeffs, "=", rhs)
+            model.add_constraint({j: 2.0 * c for j, c in coeffs.items()}, "=", 2.0 * rhs)
+            c, A, eq, b, lb, ub = model.arrays()
+            lp = _LP(c, A, eq, b, lb, ub, model.feasibility_tol())
+            if lp.primal() != "optimal":
+                continue
+            x = lp.x()
+            slack_rows = lp.basis[lp.basis >= lp.n] - lp.n
+            handed_over += int(np.any(eq[slack_rows]))  # equality slacks never enter
+            lp.load(lp.basis, lp.stat)
+            assert np.allclose(lp.x(), x, rtol=0.0, atol=1e-9)
+            assert float(c @ lp.x()) == pytest.approx(float(c @ x), abs=1e-9)
+        assert handed_over >= 10
 
 
 class TestBranchAndBound:
@@ -395,6 +437,15 @@ class TestWarmStart:
                 assert model.check_solution(new.x) == []
         assert seen["optimal"] >= 30 and seen["infeasible"] >= 15
 
+    @pytest.mark.parametrize("verdict", ["cold", "limit"])
+    def test_cold_fallback_matches_oracle_and_brute_force(self, monkeypatch, verdict):
+        # dual() practically never gives up on these models: send every
+        # other node through the in-search primal re-solve, so the next
+        # node warm-starts from the basis that re-solve handed over
+        real, calls = _LP.dual, itertools.count()
+        monkeypatch.setattr(_LP, "dual", lambda lp, maxiter: verdict if next(calls) % 2 else real(lp, maxiter))
+        self.test_matches_oracle_and_brute_force()
+
     def test_warm_child_matches_cold_fixing(self):
         rng = np.random.default_rng(8080)
         compared = 0
@@ -402,13 +453,12 @@ class TestWarmStart:
             model = random_milp(rng, int(rng.integers(3, 9)))
             c, A, eq, b, lb, ub = model.arrays()
             arr = _Arrays(c, A, eq, b, lb, ub)
-            status, _, _, _, basis = _lp_bounded(c, A, eq, b, lb, ub)
-            assert status == "optimal"
             binaries = model.binary_ids()
             is_bin = np.zeros(len(c), dtype=bool)
             is_bin[binaries] = True
-            lp = _WarmLP(c, A, eq, b, lb, ub, is_bin)
-            lp.load(*basis)
+            lp = _LP(c, A, eq, b, lb, ub, model.feasibility_tol(), is_bin)
+            assert lp.primal() == "optimal"
+            lp.load(lp.basis, lp.stat)
             fixed = {}
             for j in rng.permutation(binaries):
                 fixed[int(j)] = float(rng.integers(0, 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_boolean, oracle_robustness
-from stlcp import stl, synthesis
+from stlcp import milp, stl, synthesis
 from stlcp.casestudies import (
     RobotScenario,
     TemperatureScenario,
@@ -379,6 +379,30 @@ class TestClosedLoop:
         aborted = run(1.0, 1)
         assert aborted.status == "limit" and len(aborted.records) == 1
         assert aborted.records[0].u is None and aborted.records[0].gap is None
+
+    def test_failed_dive_is_solved_once(self, monkeypatch):
+        # x2 = 1 misses the strict atom, so the step-0 dive fails and the
+        # search must not re-solve the same fixed-binary LP as its hint
+        solved = []  # per step, the binary fixings of every LP solved
+        real = milp._solve_fixed
+        monkeypatch.setattr(milp, "_solve_fixed", lambda arr, fixed: solved[-1].append(dict(fixed)) or real(arr, fixed))
+        sys = integrator(xlo=-3.0, xhi=3.0)
+        spec = stl.Always(2, 3, stl.Or((atom([1.0], [(-1.0,)], -1.0), atom([-1.0], [(1.0,)], -1.0))))
+        y = np.zeros((4, 1))
+
+        def predict(k):
+            solved.append([])
+            return {(t, 0): y[t] for t in range(k + 1, 4)}
+
+        res = run_closed_loop(
+            sys, spec, (y,), predict, lambda k, tau, i: 0.0, cost=CostSpec("input-l1"), reuse_plan=False,
+            hint_xs=np.array([[0.0], [1.0], [1.0], [1.0]]),
+            hint_us={0: np.array([1.0]), 1: np.array([0.0]), 2: np.array([0.0])},
+        )
+        assert res.status == "optimal" and res.records[0].solved_by == "search"
+        assert solved[0] and all(solved[0])  # the step-0 dive was tried
+        for k, fixings in enumerate(solved):
+            assert all(a != b for i, a in enumerate(fixings) for b in fixings[:i]), f"step {k}"
 
     def test_playback_too_short_raises(self):
         sys = integrator()
