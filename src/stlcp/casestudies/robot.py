@@ -25,8 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from ..conformal import RegionRadii, calibrate, compute_normalizers
-from ..encoding import suggest_assignment
-from ..milp import dive_solve, solve_bb
 from ..prediction import (
     AgentTrajectory,
     FilePredictor,
@@ -57,6 +55,7 @@ from ..synthesis import (
     build_step_model,
     evaluate_guarantee,
     run_closed_loop,
+    solve_step,
     synthesize_open_loop,
 )
 
@@ -261,9 +260,9 @@ class LeaderGenStats:
 
     kept: int = 0
     discarded: int = 0
-    checks: int = 0
-    dives: int = 0
-    searches: int = 0
+    checks: int = 0  # replayed plans checked
+    dives: int = 0  # replans: steps whose replayed plan failed its check
+    searches: int = 0  # replans whose dive failed, so search found the plan
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -288,10 +287,7 @@ def _solve_leader_nominal(sys: SystemModel, spec: CompiledSpec, sc: RobotScenari
         sys, spec, 0, {0: sys.x0}, {}, {}, _zero_radius,
         cost=CostSpec("l1-tracking", tracking=_tracking_terms(hint, 1, sc.horizon)),
     )
-    assign = suggest_assignment(sm.ctx, sm.enc, hint)
-    sol = dive_solve(sm.model, assign)
-    if sol.status != "optimal":
-        sol = solve_bb(sm.model)
+    sol, _ = solve_step(sm, hint)
     if sol.status != "optimal":
         raise RuntimeError(f"leader nominal plan is {sol.status}")
     return sm.plan_states(sol.x), sm.plan_inputs(sol.x)
@@ -360,9 +356,9 @@ def _rollout_leader(
     reference plan; that candidate is accepted when it provably satisfies
     the step MILP (boxes, dynamics by construction, folded prefix plus
     future margin), which is the usual case and costs no solve.  Otherwise
-    the step MILP is built and solved by diving on the candidate's binary
-    pattern, tracking the nominal route.  Any infeasible step aborts the
-    run; the caller discards and regenerates.
+    the step MILP is built and solve_step dives on the candidate's binary
+    pattern, tracking the nominal route, and searches if that fails.  Any
+    infeasible step aborts the run; the caller discards and regenerates.
     """
     t_phi = sc.horizon
     xs = np.zeros((t_phi + 1, sys.n_x))
@@ -378,12 +374,9 @@ def _rollout_leader(
                 sys, spec, k, {tau: xs[tau] for tau in range(k + 1)}, {}, {}, _zero_radius,
                 cost=CostSpec("l1-tracking", tracking=_tracking_terms(nominal_xs, k + 1, t_phi)),
             )
-            assign = suggest_assignment(sm.ctx, sm.enc, cand_xs)
-            sol = dive_solve(sm.model, assign)
+            sol, solved_by = solve_step(sm, cand_xs)
             stats.dives += 1
-            if sol.status != "optimal":
-                sol = solve_bb(sm.model)
-                stats.searches += 1
+            stats.searches += solved_by == "search"
             if sol.status != "optimal":
                 return None
             ref_xs, ref_us = sm.plan_states(sol.x), sm.plan_inputs(sol.x)
@@ -490,7 +483,6 @@ def run_follower_experiment(
     seed: int = 11,
     scenario: RobotScenario = RobotScenario(),
     sizes: tuple[int, int, int] = (50, 100, 300),
-    node_limit: int | None = None,
     log_dir: str | None = None,
 ) -> FollowerExperiment:
     """Generate leaders, calibrate regions, run the closed-loop follower on
@@ -521,7 +513,7 @@ def run_follower_experiment(
     base = synthesize_open_loop(
         sys, spec, {0: sc.start_pos}, preds_at(0),
         lambda tau, i: radii.closed_radius(0, tau, i),
-        hint_xs=follower_hint(sc), node_limit=node_limit,
+        hint_xs=follower_hint(sc),
     )
     if not base.feasible:
         raise RuntimeError(f"baseline follower plan is {base.status}")
@@ -538,7 +530,7 @@ def run_follower_experiment(
         res = run_closed_loop(
             sys, spec, (tr.ys[0],), preds_at,
             lambda k, tau, i: radii.closed_radius(k, tau, i),
-            hint_xs=base.xs, hint_us=hint_us, node_limit=node_limit, log_path=log_path,
+            hint_xs=base.xs, hint_us=hint_us, log_path=log_path,
         )
         outcomes.append(bool(res.feasible and res.satisfied))
         aborted += 0 if res.feasible else 1

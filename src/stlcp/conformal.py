@@ -24,10 +24,6 @@ from .prediction import AgentTrajectory, PredictionTable, prediction_table
 SIGMA_MIN = 1e-8
 
 
-class CalibrationInsufficientError(RuntimeError):
-    """Raised when delta and the calibration size force infinite radii."""
-
-
 def conformal_rank(n_cal: int, delta: float) -> int:
     """p = ceil((K+1)(1-delta)); the rank of the conformal quantile.
 

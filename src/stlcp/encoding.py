@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .milp import MilpModel
-from .stl import AffinePredicate, CompiledSpec, compile_spec
+from .stl import CompiledSpec, compile_spec
 
 #: Margin of a strict atom row: the qualitative encoding demands mu >= EPS.
 #: The LP core accepts a row violated within MilpModel.feasibility_tol(),
@@ -113,53 +113,6 @@ class Encoding:
 
 # ---------------------------------------------------------------------------
 # atom tightening
-
-
-@dataclass(frozen=True)
-class TighteningCertificate:
-    """KKT witness that the closed-form tightening is the exact ball minimum."""
-
-    value: float
-    witnesses: tuple
-    multipliers: tuple
-    stationarity: float
-    feasibility: float
-    complementarity: float
-
-    def max_residual(self) -> float:
-        return max(self.stationarity, self.feasibility, self.complementarity)
-
-
-def kkt_certificate(pred: AffinePredicate, centers: Sequence[np.ndarray], radii: Sequence[float]) -> TighteningCertificate:
-    """Optimality certificate for min of the atom's agent part over the balls.
-
-    Each ball constraint ||y_i - c_i||^2 <= r_i^2 gets multiplier
-    lambda_i = ||a_i|| / (2 r_i); the minimizer sits on the boundary along
-    -a_i.  Radii must be positive wherever the atom actually depends on the
-    agent.
-    """
-    ys, lams = [], []
-    stat = feas = comp = 0.0
-    value = pred.offset
-    for a, c, r in zip(pred.coeff_y, centers, radii):
-        a = np.asarray(a, dtype=float)
-        c = np.asarray(c, dtype=float)
-        nrm = float(np.linalg.norm(a))
-        if nrm == 0.0:
-            ys.append(c.copy())
-            lams.append(0.0)
-            continue
-        if not r > 0.0:
-            raise EncodingError("kkt certificate needs a positive radius where the atom depends on the agent")
-        y = c - r * a / nrm
-        lam = nrm / (2.0 * r)
-        ys.append(y)
-        lams.append(lam)
-        value += float(np.dot(a, y))
-        stat = max(stat, float(np.linalg.norm(a + 2.0 * lam * (y - c))))
-        feas = max(feas, max(0.0, float(np.dot(y - c, y - c)) - r * r))
-        comp = max(comp, abs(lam * (float(np.dot(y - c, y - c)) - r * r)))
-    return TighteningCertificate(value, tuple(ys), tuple(lams), stat, feas, comp)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -382,14 +335,6 @@ def _encode_quant(ctx, enc, cache, nid: int, tau: int):
         if enc.atoms.linear[j]:
             vids = ctx.state_vars[tau]
             out = LinExpr({vids[d]: c for d, c in cs.x_terms[node.pred]}, out)
-    elif node.until is not None:
-        a, b, left, right = node.until
-        witnesses = []
-        for t2 in range(tau + a, tau + b + 1):
-            parts = [_encode_quant(ctx, enc, cache, right, t2)]
-            parts += [_encode_quant(ctx, enc, cache, left, t1) for t1 in range(tau, t2 + 1)]
-            witnesses.append(_quant_gate(ctx, enc, "min", parts, f"until_w{t2}_t{tau}"))
-        out = _quant_gate(ctx, enc, "max", witnesses, f"until_t{tau}")
     else:
         handles = [_encode_quant(ctx, enc, cache, c, tau + dt) for c, dt in node.pairs]
         out = _quant_gate(ctx, enc, "min" if node.op == "and" else "max", handles, f"{node.op}_t{tau}")

@@ -21,9 +21,10 @@ a child fixes one binary through its bounds, so the parent basis stays dual
 feasible and the dual simplex restores primal feasibility in a few pivots.
 The search plunges depth first on one tableau whose shape never changes; an
 open node stores a basis (basic column per row plus at-bound status), not a
-tableau, and is refactorized when popped.  An optional "dive" fixes a
-caller-suggested assignment of all binaries and solves the remaining LP; on
-structured instances this finds an incumbent in one shot.
+tableau, and is refactorized when popped.  Apart from the search,
+dive_solve fixes a caller-suggested assignment of all binaries and solves
+the remaining LP; on structured instances this finds a plan in one shot.
+synthesis.solve_step is the one caller that tries a dive before a search.
 
 Instances here are small (hundreds of variables), so simplicity and
 auditability beat sparse-matrix performance.
@@ -628,14 +629,7 @@ def dive_solve(model: MilpModel, assignment: dict[int, int]) -> Solution:
 # branch and bound
 
 
-def solve_bb(
-    model: MilpModel,
-    gap_tol: float = GAP_TOL,
-    int_tol: float = INTEGRALITY_TOL,
-    node_limit: int | None = None,
-    hint: dict[int, int] | None = None,
-    log: list | None = None,
-) -> Solution:
+def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None = None) -> Solution:
     """Branch and bound on the most fractional binary, warm-started.
 
     Presolve first runs _propagate over the rows within
@@ -654,11 +648,12 @@ def solve_bb(
     first, creation order) carrying only its bound fixings, basis indices
     and at-bound status.  A popped node refactorizes its tableau from that
     basis.  An incumbent read off the warm tableau is re-solved cold before
-    it is accepted if it fails check_solution.
+    it is accepted if it fails check_solution.  A node is pruned once its
+    bound comes within GAP_TOL of the incumbent, and a binary within
+    INTEGRALITY_TOL of 0 or 1 counts as integral.  With a constant
+    objective the first incumbent ends the search.  A model without
+    binaries is one LP, solved once.
 
-    hint: a full 0/1 assignment of the binaries to try first ("dive"); if the
-    resulting LP is feasible it becomes the starting incumbent, and with a
-    constant objective the solve finishes without touching the relaxation.
     log: list that receives one dict per event (incumbent, branched,
     pruned-bound, pruned-infeasible).
     """
@@ -667,7 +662,6 @@ def solve_bb(
     c, A, eq, b, lb, ub = model.arrays()
     arr = _Arrays(c, A, eq, b, lb, ub)
     binaries = model.binary_ids()
-    tied_down = {j for j in binaries if model.vars[j].lb == model.vars[j].ub}
     zero_obj = not np.any(c != 0.0)
 
     best_x = None
@@ -678,18 +672,6 @@ def solve_bb(
     def record(event: str, **kw):
         if log is not None:
             log.append({"event": event, "node": nodes, "incumbent": None if best_x is None else best_obj, **kw})
-
-    if hint is not None:
-        fixed = {j: float(hint[j]) for j in binaries if j in hint}
-        fixed.update({j: model.vars[j].lb for j in tied_down})
-        if len(fixed) == len(binaries):
-            status, x, obj, iters = _solve_fixed(arr, fixed)
-            total_iters += iters
-            if status == "optimal":
-                best_x, best_obj = x, obj
-                record("incumbent", bound=obj, source="dive")
-                if zero_obj:
-                    return Solution("optimal", best_x, best_obj + model.obj_const, total_iters, nodes, 0.0)
 
     if not binaries:
         status, x, obj, iters = _solve_fixed(arr, {})
@@ -715,7 +697,7 @@ def solve_bb(
             lp = _LP(c, A[keep], eq[keep], b[keep], lb, ub, row_tol, is_bin)
             status = lp.primal()
     if status == "unbounded":
-        return Solution("unbounded", iterations=total_iters + lp.iters, nodes=nodes)
+        return Solution("unbounded", iterations=lp.iters, nodes=nodes)
     status_out = "limit" if status == "limit" else "optimal"
     heap: list = []
     open_bound = []  # bound of a node the node limit left unsolved
@@ -735,11 +717,11 @@ def solve_bb(
                 solved = False
                 x = lp.x()
                 obj = float(c @ x)
-                if best_x is not None and obj >= best_obj - gap_tol:
+                if best_x is not None and obj >= best_obj - GAP_TOL:
                     record("pruned-bound", bound=obj)
                     continue
                 xb = x[bins]
-                frac = np.flatnonzero((fix < 0) & (np.minimum(xb, 1.0 - xb) > int_tol))
+                frac = np.flatnonzero((fix < 0) & (np.minimum(xb, 1.0 - xb) > INTEGRALITY_TOL))
                 if frac.size == 0:
                     cand = x.copy()
                     cand[bins] = np.round(xb)
@@ -751,7 +733,7 @@ def solve_bb(
                             continue
                     if obj < best_obj - 1e-12:
                         best_x, best_obj = cand, obj
-                        record("incumbent", bound=obj, source="node")
+                        record("incumbent", bound=obj)
                     if zero_obj:
                         break
                     continue
@@ -769,13 +751,13 @@ def solve_bb(
             if hot is not None:
                 bound, jb, first = hot
                 hot, stored = None, None
-                if best_x is not None and bound >= best_obj - gap_tol:
+                if best_x is not None and bound >= best_obj - GAP_TOL:
                     continue
             else:
                 if not heap:
                     break
                 bound, neg_depth, _, fix, *stored = heapq.heappop(heap)
-                if best_x is not None and bound >= best_obj - gap_tol:
+                if best_x is not None and bound >= best_obj - GAP_TOL:
                     heap.clear()
                     break
                 depth = -neg_depth

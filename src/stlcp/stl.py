@@ -596,7 +596,6 @@ class Node:
     name: str
     pairs: tuple[tuple[int, int], ...] = ()
     pred: int = -1
-    until: tuple[int, int, int, int] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,10 +672,10 @@ def compile_spec(formula: Formula) -> CompiledSpec:
     ids: dict = {}
     pred_ids: dict[AffinePredicate, int] = {}
 
-    def node(key, op: str, name: str, pairs=(), pred: int = -1, until=None) -> int:
+    def node(key, op: str, name: str, pairs=(), pred: int = -1) -> int:
         if key not in ids:
             ids[key] = len(nodes)
-            nodes.append(Node(op, name, tuple(pairs), pred, until))
+            nodes.append(Node(op, name, tuple(pairs), pred))
         return ids[key]
 
     def temporal(kind: str, a: int, b: int, child: int) -> int:
@@ -703,8 +702,7 @@ def compile_spec(formula: Formula) -> CompiledSpec:
             right, left = intern(f.right), intern(f.left)  # first-visit order
             wits = [conj("And", tuple([temporal("Always", d2, d2, right)] + [temporal("Always", d, d, left) for d in range(d2 + 1)]))
                     for d2 in range(f.a, f.b + 1)]
-            until = (f.a, f.b, left, right)
-            return node(("Until",) + until, "or", "until", [(w, 0) for w in wits], until=until)
+            return node(("Until", f.a, f.b, left, right), "or", "until", [(w, 0) for w in wits])
         raise TypeError(f"not a formula: {f!r}")
 
     root = intern(formula)

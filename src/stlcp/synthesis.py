@@ -2,15 +2,17 @@
 
 One MILP per planning step: affine dynamics and input/state boxes as rows,
 the specification encoded over tightened atoms, observed history folded to
-constants.  Open loop solves once at k = 0; the shrinking-horizon closed loop
-re-solves at every step with whatever the agents actually did so far.
+constants.  The open-loop plan is step k = 0 of that problem; the
+shrinking-horizon closed loop re-solves at every step with whatever the
+agents actually did so far.
 
-Closed-loop steps try three things in order, cheapest first: reuse the
-previous plan verbatim if it still satisfies the new model (always true when
-predictions did not move), dive on the binary assignment suggested by the
-previous plan, and only then run branch and bound.  A step with no feasible
-plan aborts the run; there is no fallback controller, because any fallback
-would void the coverage argument behind the regions.
+solve_step is the one place a plan is found.  It tries three things in
+order, cheapest first: reuse the hinted plan verbatim if it still satisfies
+the step model (always true in the closed loop when predictions did not
+move), dive on the binary assignment the hinted states suggest, and only
+then run branch and bound.  A step with no feasible plan aborts the run;
+there is no fallback controller, because any fallback would void the
+coverage argument behind the regions.
 """
 
 from __future__ import annotations
@@ -261,7 +263,6 @@ def build_step_model(
     *,
     mode: str = "qual",
     cost: CostSpec = CostSpec(),
-    big_m: float | None = None,
 ) -> StepModel:
     """Assemble the step-k MILP: dynamics/box/mixed rows plus the encoded
     specification with the observed prefix folded out.  spec is a formula or
@@ -336,7 +337,6 @@ def build_step_model(
         observed_y=ys_obs,
         radius=radius,
         mode=mode,
-        big_m=big_m,
     )
     enc = encode(ctx, cs)
     root = require(ctx, enc)
@@ -450,29 +450,32 @@ def _checked(sm: StepModel, sol: Solution, source: str) -> Solution:
     return sol
 
 
-def _solve_step(
+def solve_step(
     sm: StepModel,
-    hint_xs: np.ndarray | None,
-    hint_us: dict[int, np.ndarray] | None,
-    *,
-    reuse: bool,
-    accept_dive: bool,
-    node_limit: int | None,
+    hint_xs: np.ndarray | None = None,
+    hint_us: dict[int, np.ndarray] | None = None,
+    node_limit: int | None = None,
 ) -> tuple[Solution, str]:
-    if hint_xs is not None and hint_us is not None and reuse:
+    """A plan for one step model and how it was found: "reuse", "dive" or
+    "search".  The hinted plan (states and inputs) is reused if it passes
+    the model's check; else the states' suggested binary assignment is
+    dived on; else branch and bound runs, its iterations counting those of
+    a failed dive.  A model without binaries has nothing to dive on, and its
+    one LP is the search.  Every dive and search plan is _checked."""
+    if hint_xs is not None and hint_us is not None:
         vec = sm.candidate_solution(hint_xs, hint_us)
         if vec is not None and not sm.model.check_solution(vec):
             return Solution("optimal", vec, sm.model.objective_value(vec)), "reuse"
-    hint = None
-    if hint_xs is not None:
-        hint = suggest_assignment(sm.ctx, sm.enc, hint_xs)
-    if hint and accept_dive:
+    dive_iters = 0
+    hint = suggest_assignment(sm.ctx, sm.enc, hint_xs) if hint_xs is not None else None
+    if hint:
         sol = _checked(sm, dive_solve(sm.model, hint), "dive")
         if sol.status == "optimal":
             return sol, "dive"
-        hint = None  # as a search hint it would only repeat the failed dive
-    sol = solve_bb(sm.model, node_limit=node_limit, hint=hint)
-    return _checked(sm, sol, "search"), "search"
+        dive_iters = sol.iterations
+    sol = _checked(sm, solve_bb(sm.model, node_limit=node_limit), "search")
+    sol.iterations += dive_iters
+    return sol, "search"
 
 
 def _failure_status(sm: StepModel, sol: Solution) -> str:
@@ -496,17 +499,13 @@ def synthesize_open_loop(
     cost: CostSpec = CostSpec(),
     hint_xs: np.ndarray | None = None,
     node_limit: int | None = None,
-    big_m: float | None = None,
 ) -> ControlResult:
     """One plan at k = 0 covering the whole horizon, sound for every agent
-    realization inside the open-loop prediction balls."""
+    realization inside the open-loop prediction balls: step 0 of
+    solve_step, diving first on the assignment hint_xs suggests."""
     ys_obs = {(0, i): np.asarray(y, dtype=float) for i, y in agents_now.items()}
-    sm = build_step_model(
-        sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius,
-        mode=mode, cost=cost, big_m=big_m,
-    )
-    hint = suggest_assignment(sm.ctx, sm.enc, hint_xs) if hint_xs is not None else None
-    sol = _checked(sm, solve_bb(sm.model, node_limit=node_limit, hint=hint), "search")
+    sm = build_step_model(sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius, mode=mode, cost=cost)
+    sol, _ = solve_step(sm, hint_xs, node_limit=node_limit)
     if sol.status != "optimal":
         return ControlResult(status=_failure_status(sm, sol), nodes=sol.nodes, iterations=sol.iterations)
     xs = sm.plan_states(sol.x)
@@ -537,8 +536,6 @@ def run_closed_loop(
     cost: CostSpec | Callable[[int], CostSpec] = CostSpec(),
     node_limit: int | None = None,
     process_noise: Callable[[int, np.ndarray], np.ndarray] | None = None,
-    reuse_plan: bool = True,
-    accept_dive: bool = True,
     hint_xs: np.ndarray | None = None,
     hint_us: dict[int, np.ndarray] | None = None,
     log_path: str | None = None,
@@ -601,9 +598,7 @@ def run_closed_loop(
             hint_states[: k + 1] = xs[: k + 1]
         else:
             hint_states = None
-        sol, solved_by = _solve_step(
-            sm, hint_states, prev_us, reuse=reuse_plan, accept_dive=accept_dive, node_limit=node_limit,
-        )
+        sol, solved_by = solve_step(sm, hint_states, prev_us, node_limit)
         radii_used = {f"{tau},{i}": float(radius(k, tau, i)) for (tau, i) in sorted(preds)}
         if sol.x is None:
             records.append(StepRecord(

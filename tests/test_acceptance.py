@@ -15,6 +15,7 @@ import numpy as np
 from helpers import (
     brute_force_solve,
     grid_min_over_balls,
+    kkt_certificate,
     oracle_quantile,
     oracle_robustness,
     random_formula,
@@ -45,7 +46,7 @@ from stlcp.conformal import (
     radii_for_delta,
     validate_coverage,
 )
-from stlcp.encoding import kkt_certificate, suggest_assignment
+from stlcp.encoding import suggest_assignment
 from stlcp.milp import dive_solve, solve_bb, solve_lp
 from stlcp.prediction import fit_predictor
 from stlcp.synthesis import CostSpec, build_step_model, synthesize_open_loop

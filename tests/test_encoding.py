@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     LinExpr,
     grid_min_over_balls,
+    kkt_certificate,
     oracle_atom_expr,
     oracle_boolean,
     oracle_children,
@@ -35,11 +36,10 @@ from stlcp.encoding import (
     EncodingError,
     _AtomTable,
     encode,
-    kkt_certificate,
     require,
     suggest_assignment,
 )
-from stlcp.milp import MilpModel, solve_bb
+from stlcp.milp import MilpModel, dive_solve, solve_bb
 from stlcp.synthesis import SystemModel, build_step_model, synthesize_open_loop
 
 
@@ -465,22 +465,25 @@ class TestEncodeAndSolve:
             require(ctx, enc)
             assert solve_bb(model).status == "infeasible"
 
-    def test_until_witness_structure(self):
+    @pytest.mark.parametrize("mode", ["qual", "quant"])
+    def test_until_witness_structure(self, mode):
         # right atom reachable only at the last step; left must hold throughout
         model = MilpModel()
         rng = np.random.default_rng(9)
-        ctx, _ = make_ctx(model, 2, 0, 1, (1,), rng)
+        ctx, _ = make_ctx(model, 2, 0, 1, (1,), rng, mode=mode)
         ctx.observed_x[0][:] = 1.0  # left atom must already hold at the observed start
         left = stl.Pred(pred_xy([1.0], [], 0.0))  # x >= 0
         right = stl.Pred(pred_xy([1.0], [], -5.0))  # x >= 5
         f = stl.Until(0, 2, left, right)
         enc = encode(ctx, f)
-        require(ctx, enc)
+        root = require(ctx, enc)
         sol = solve_bb(model)
         assert sol.status == "optimal"
         xs = assemble_states(ctx, sol)
         traj = stl.JointTrajectory(xs, realization(ctx, rng, (1,)))
         assert oracle_boolean(f, traj, 0)
+        if mode == "quant":
+            assert oracle_robustness(f, traj, 0) >= sol.x[root] - 1e-9
 
     def test_quant_root_value_is_exact_min(self):
         # two future atoms; robustness should equal the smaller tightened value
@@ -532,9 +535,9 @@ class TestEncodeAndSolve:
             enc2 = encode(ctx2, f)
             require(ctx2, enc2)
             hint = suggest_assignment(ctx2, enc2, xs)
-            warm = solve_bb(model2, hint=hint)
-            assert warm.status == "optimal"
-            assert warm.nodes == 0  # dive alone proved feasibility
+            warm = dive_solve(model2, hint)
+            assert warm.status == "optimal"  # dive alone proved feasibility
+            assert warm.nodes == 0
             done += 1
         assert done >= 8
 

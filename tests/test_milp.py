@@ -19,6 +19,7 @@ from stlcp.milp import (
     _LP,
     _propagate,
     _solve_fixed,
+    dive_solve,
     solve_bb,
     solve_lp,
     write_lp,
@@ -287,28 +288,10 @@ class TestBranchAndBound:
         for i in range(5):
             m.add_constraint({zs[i]: 1, zs[i + 1]: -1}, "<=", 0)  # z_i <= z_{i+1}
         m.add_constraint({zs[0]: 1}, ">=", 1)
-        sol = solve_bb(m, hint={z: 1 for z in zs})
+        sol = dive_solve(m, {z: 1 for z in zs})
         assert sol.status == "optimal"
         assert sol.nodes == 0  # dive alone settled it
         assert all(round(sol.x[z]) == 1 for z in zs)
-
-    def test_bad_hint_falls_back_to_search(self):
-        m = MilpModel()
-        zs = [m.add_binary(f"z{i}") for i in range(3)]
-        m.add_constraint({z: 1 for z in zs}, ">=", 2)
-        m.set_objective({z: 1 for z in zs})
-        sol = solve_bb(m, hint={zs[0]: 0, zs[1]: 0, zs[2]: 0})  # infeasible hint
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0)
-
-    def test_hint_incumbent_does_not_block_optimum(self):
-        m = MilpModel()
-        z0 = m.add_binary("z0")
-        z1 = m.add_binary("z1")
-        m.add_constraint({z0: 1, z1: 1}, ">=", 1)
-        m.set_objective({z0: 1.0, z1: 3.0})
-        sol = solve_bb(m, hint={z0: 1, z1: 1})  # feasible but suboptimal start
-        assert sol.objective == pytest.approx(1.0)
 
     def test_node_limit_param(self):
         rng = np.random.default_rng(4)
@@ -380,7 +363,7 @@ class _Captured(Exception):
 def temperature_step_models(rooms: int = 7):
     """Step models k = 0 and k = 1 of the first held-out rooms of
     gen_temperature_dataset(700, 0) split 100/300/300, as the closed loop
-    builds them when every step searches (no reuse, no dive)."""
+    builds them."""
     sc = TemperatureScenario()
     ds = gen_temperature_dataset(700, 0, scenario=sc, sizes=(100, 300, 300))
     train = ds.subset("train")
@@ -388,27 +371,28 @@ def temperature_step_models(rooms: int = 7):
     sigma = compute_normalizers(train, pred, sc.t_phi)
     radii = calibrate(ds.subset("cal"), pred, sigma, sc.delta)
     plant, spec = temperature_reformulate(sc), build_temperature_spec(sc.horizon, sc.comfort_gap)
-    real = synthesis.solve_bb
+    real = synthesis.build_step_model
     out = []
     for tr in ds.subset("test")[:rooms]:
         models = []
 
-        def capture(model, **kw):
-            models.append(model)
+        def capture(*args, **kw):
+            sm = real(*args, **kw)
+            models.append(sm.model)
             if len(models) == 2:
                 raise _Captured
-            return real(model, **kw)
+            return sm
 
-        synthesis.solve_bb = capture
+        synthesis.build_step_model = capture
         try:
             synthesis.run_closed_loop(
                 plant, spec, tr.ys, prediction_table(pred, tr, sc.t_phi).row,
-                lambda k, tau, i: radii.closed_radius(k, tau, i), reuse_plan=False, accept_dive=False,
+                lambda k, tau, i: radii.closed_radius(k, tau, i),
             )
         except _Captured:
             pass
         finally:
-            synthesis.solve_bb = real
+            synthesis.build_step_model = real
         out.append(models)
     return out
 

@@ -307,7 +307,6 @@ class TestClosedLoop:
             sys, spec, (y_true,),
             lambda k: {(t, 0): y_true[t] for t in range(k + 1, 6)},
             lambda k, tau, i: 0.5,
-            reuse_plan=False, accept_dive=False,  # force fresh solves so counts are honest
         )
         assert res.status == "optimal"
         counts = [r.n_binaries for r in res.records]
@@ -353,21 +352,19 @@ class TestClosedLoop:
         assert found >= 5
 
     def test_node_limited_search_applies_its_dive_incumbent(self):
-        # the k = 0 relaxation costs 0 on fractional binaries, so a one-node
-        # search stops at the limit holding the hint dive's plan, cost 1 + EPS
+        # the k = 0 relaxation costs 0 on fractional binaries, so a two-node
+        # search stops at the limit holding the plan its plunge found
         sys = integrator(xlo=-3.0, xhi=3.0)
         spec = stl.Always(2, 3, stl.Or((atom([1.0], [(-1.0,)], -1.0), atom([-1.0], [(1.0,)], -1.0))))
         y = np.zeros((4, 1))
 
-        def run(hint_x2, node_limit):
+        def run(node_limit):
             return run_closed_loop(
                 sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)}, lambda k, tau, i: 0.0,
-                cost=CostSpec("input-l1"), node_limit=node_limit, reuse_plan=False, accept_dive=False,
-                hint_xs=np.array([[0.0], [1.0], [hint_x2], [hint_x2]]),
-                hint_us={0: np.array([1.0]), 1: np.array([hint_x2 - 1.0]), 2: np.array([0.0])},
+                cost=CostSpec("input-l1"), node_limit=node_limit,
             )
 
-        capped, full = run(2.0, 1), run(2.0, None)
+        capped, full = run(2), run(None)
         first = capped.records[0]
         assert (first.status, first.solved_by, first.u) == ("limit", "search", [1.0])
         assert first.gap > 0.5
@@ -375,8 +372,8 @@ class TestClosedLoop:
         assert (full.records[0].status, full.records[0].gap) == ("optimal", 0.0)
         assert capped.status == "optimal" and capped.satisfied is True
         assert np.allclose(sys.simulate(capped.us), capped.xs, atol=1e-9)
-        # x2 = 1 misses the strict atom, so this dive fails: no plan, abort
-        aborted = run(1.0, 1)
+        # a one-node search ends at the root without a plan: abort
+        aborted = run(1)
         assert aborted.status == "limit" and len(aborted.records) == 1
         assert aborted.records[0].u is None and aborted.records[0].gap is None
 
@@ -395,7 +392,7 @@ class TestClosedLoop:
             return {(t, 0): y[t] for t in range(k + 1, 4)}
 
         res = run_closed_loop(
-            sys, spec, (y,), predict, lambda k, tau, i: 0.0, cost=CostSpec("input-l1"), reuse_plan=False,
+            sys, spec, (y,), predict, lambda k, tau, i: 0.0, cost=CostSpec("input-l1"),
             hint_xs=np.array([[0.0], [1.0], [1.0], [1.0]]),
             hint_us={0: np.array([1.0]), 1: np.array([0.0]), 2: np.array([0.0])},
         )
@@ -403,6 +400,20 @@ class TestClosedLoop:
         assert solved[0] and all(solved[0])  # the step-0 dive was tried
         for k, fixings in enumerate(solved):
             assert all(a != b for i, a in enumerate(fixings) for b in fixings[:i]), f"step {k}"
+
+    @pytest.mark.parametrize("bound", [0.5, 5.0])  # x1 >= 0.5 is reachable, x1 >= 5 is not
+    @pytest.mark.parametrize("cost", ["zero", "input-l1"])
+    def test_model_without_binaries_is_solved_once(self, monkeypatch, bound, cost):
+        solved = []
+        real = milp._solve_fixed
+        monkeypatch.setattr(milp, "_solve_fixed", lambda arr, fixed: solved.append(dict(fixed)) or real(arr, fixed))
+        sys = integrator()
+        sm = build_step_model(sys, stl.Always(1, 1, atom([1.0], [], -bound)), 0, {0: sys.x0}, {}, {},
+                              lambda tau, i: 0.0, cost=CostSpec(cost))
+        assert sm.model.binary_ids() == []
+        sol, solved_by = synthesis.solve_step(sm, np.array([[0.0], [1.0]]))  # hinted, but nothing to dive on
+        assert (sol.status, solved_by) == ("optimal" if bound < 1.0 else "infeasible", "search")
+        assert solved == [{}]
 
     def test_playback_too_short_raises(self):
         sys = integrator()
@@ -468,9 +479,11 @@ class TestPlanCheck:
         spec = stl.Always(0, 3, stl.Or((atom([1.0], [(-1.0,)], 3.0), atom([1.0], [(1.0,)], 3.0))))
         y = np.zeros((4, 1))
         source = "dive" if solver == "dive_solve" else "search"
-        with pytest.raises(MilpConsistencyError, match=rf"{source} plan at step \d violates row dyn"):
+        # states without inputs: step 0 dives on them, and reuse is not tried
+        hint_xs = np.zeros((4, 1)) if solver == "dive_solve" else None
+        with pytest.raises(MilpConsistencyError, match=rf"{source} plan at step 0 violates row dyn"):
             run_closed_loop(sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)},
-                            lambda k, tau, i: 0.1, reuse_plan=False)
+                            lambda k, tau, i: 0.1, hint_xs=hint_xs)
 
     def test_perturbed_open_loop_plan_raises(self, monkeypatch):
         real = synthesis.solve_bb
@@ -531,7 +544,7 @@ class TestStepModelStructure:
         y_true = 0.1 * np.arange(6).reshape(-1, 1)
         res = run_closed_loop(
             sys, spec, (y_true,), lambda k: {(t, 0): y_true[t] for t in range(k + 1, 6)},
-            lambda k, tau, i: 0.5, reuse_plan=False,
+            lambda k, tau, i: 0.5,
         )
         assert res.status == "optimal" and len(res.records) == 5
         assert len(calls) == 1
