@@ -387,7 +387,7 @@ def cmd_validate_coverage(cfg: ExperimentConfig) -> int:
         _out(cfg, "trials.csv"), ["trial", "ratio"],
         [(t, float(r)) for t, r in enumerate(rep.ratios)],
     )
-    counts, edges = rep.histogram(20, 0.5, 1.0)
+    counts, edges = rep.histogram()
     write_csv_rows(
         _out(cfg, "histogram.csv"), ["bin_lo", "bin_hi", "count"],
         [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)],

@@ -74,9 +74,7 @@ class NormalizationTable:
         return self.values[(k, tau, agent)]
 
 
-def compute_normalizers(
-    train: Sequence[AgentTrajectory], predictor, t_phi: int, sigma_min: float = SIGMA_MIN
-) -> NormalizationTable:
+def compute_normalizers(train: Sequence[AgentTrajectory], predictor, t_phi: int) -> NormalizationTable:
     if not train:
         raise ValueError("no training trajectories")
     n_agents = train[0].n_agents
@@ -92,7 +90,7 @@ def compute_normalizers(
                     if err > worst.get(key, -1.0):
                         worst[key] = err
     for key, v in worst.items():
-        table.values[key] = max(v, sigma_min)
+        table.values[key] = max(v, SIGMA_MIN)
     return table
 
 
@@ -212,9 +210,9 @@ class CoverageReport:
     def mean(self) -> float:
         return float(np.mean(self.ratios))
 
-    def histogram(self, bins: int = 20, lo: float = 0.5, hi: float = 1.0):
-        counts, edges = np.histogram(self.ratios, bins=bins, range=(lo, hi))
-        return counts, edges
+    def histogram(self):
+        """Counts of the per-trial coverage ratios in 20 bins over [0.5, 1]."""
+        return np.histogram(self.ratios, bins=20, range=(0.5, 1.0))
 
     def band(self) -> tuple[float, float]:
         """Exact marginal coverage band [1-delta, 1-delta + 1/(K+1)]."""

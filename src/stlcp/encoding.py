@@ -17,10 +17,10 @@ Qualitative mode is polarity-aware: the root must hold, so conjunctive paths
 emit their atom rows directly and binaries appear only where a disjunction
 forces a choice (one indicator per distinct disjunct occurrence, shared via a
 cache).  An indicator z carries the one-sided meaning [z = 1 implies the
-subformula holds with margin eps], which is sufficient because PNF formulas
+subformula holds with margin EPS], which is sufficient because PNF formulas
 are monotone in their leaves.  Quantitative mode carries the worst-case
 robustness as a linear expression and bounds each min/max gate from above
-only: the root is monotone in every gate, so root >= eps_r (or maximising
+only: the root is monotone in every gate, so root >= EPS_ROBUST (or maximising
 the root) needs no rows from below.  Min gates need no binaries; max gates
 get one selector per operand and a cover row.  A gate variable is then a
 certified lower bound on the robustness it stands for, not its value.
@@ -37,14 +37,16 @@ import numpy as np
 from .milp import MilpModel
 from .stl import CompiledSpec, compile_spec
 
-#: Margin of a strict atom row: the qualitative encoding demands mu >= EPS.
-#: The LP core accepts a row violated within MilpModel.feasibility_tol(),
-#: FEASIBILITY_TOL * (1 + max |rhs|), which exceeds EPS once the model's
-#: largest |rhs| passes about 9.  Strictness then holds only to that
-#: tolerance: a plan may meet a strict atom with equality (in
-#: test_disturbance_replan_uses_observed_agent the k = 0 plan misses
-#: mu >= EPS by 1e-6 under a tolerance of 1.6e-6).
+#: Margin of every strict atom row: the qualitative encoding demands
+#: mu >= EPS, and the warm-start reader counts an atom as held from the same
+#: margin.  The LP core accepts a row violated within
+#: MilpModel.feasibility_tol(), FEASIBILITY_TOL * (1 + max |rhs|), which
+#: exceeds EPS once the model's largest |rhs| passes about 9.  Strictness
+#: then holds only to that tolerance: a plan may meet a strict atom with
+#: equality (in test_disturbance_replan_uses_observed_agent the k = 0 plan
+#: misses mu >= EPS by 1e-6 under a tolerance of 1.6e-6).
 EPS = 1e-6
+#: Lower bound require() puts on a quantitative root: robustness >= EPS_ROBUST.
 EPS_ROBUST = 1e-4
 
 
@@ -92,9 +94,6 @@ class EncodingContext:
     observed_y: dict[tuple[int, int], np.ndarray]
     radius: Callable[[int, int], float]
     mode: str = "qual"
-    eps: float = EPS
-    eps_robust: float = EPS_ROBUST
-    big_m: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("qual", "quant"):
@@ -126,7 +125,7 @@ class _AtomTable:
     const[j] folds the observed prefix in (tau <= k) and takes future agent
     parts at their worst case a . yhat - r ||a|| (-inf for r = inf).
     linear[j] marks instances still affine in the state (coefficients
-    spec.x_terms); truth[j] is the sign of the others, None for linear ones.
+    spec.x_terms).
     """
 
     def __init__(self, ctx: EncodingContext, cs: CompiledSpec):
@@ -160,10 +159,6 @@ class _AtomTable:
         self._linear = ~past & (cs.coeff_x != 0.0).any(axis=1)[pidx] & (const != -math.inf)
         self.const = const.tolist()
         self.linear = self._linear.tolist()
-
-    @property
-    def truth(self) -> list:
-        return [None if lin else c >= 0.0 for c, lin in zip(self.const, self.linear)]
 
     def fold(self, values: np.ndarray) -> np.ndarray:
         """The spec's node table (CompiledSpec.fold) with leaf values[j] at
@@ -210,12 +205,12 @@ class _AtomTable:
         out[self._linear] += self._accumulate(np.zeros(int(self._linear.sum())), lambda c, t, d: c * xs[t, d])
         return out
 
-    def holds(self, ctx: EncodingContext, xs: np.ndarray) -> np.ndarray:
+    def holds(self, xs: np.ndarray) -> np.ndarray:
         """Per instance, whether state trajectory xs satisfies it: linear
-        instances by the row margin eps, less a 1e-9 slack for float echo
+        instances by the row margin EPS, less a 1e-9 slack for float echo
         when xs sits exactly on an active row; constants by their sign."""
         value = self.values(xs)
-        return np.where(self._linear, value >= ctx.eps - 1e-9, value >= 0.0)
+        return np.where(self._linear, value >= EPS - 1e-9, value >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +226,12 @@ def _compiled(formula) -> CompiledSpec:
 
 def encode(ctx: EncodingContext, formula) -> Encoding:
     """Encode a PNF formula, or a compiled spec, rooted at absolute time 0
-    into ctx.model."""
+    into ctx.model, with a big-M fitted to this formula's atoms."""
     cs = _compiled(formula)
     if cs.horizon > ctx.t_phi:
         raise EncodingError(f"formula horizon {cs.horizon} exceeds available window {ctx.t_phi}")
     atoms = _AtomTable(ctx, cs)
-    if ctx.big_m is None:
-        ctx.big_m = atoms.big_m(ctx)
-    enc = Encoding(root=None, mode=ctx.mode, big_m=ctx.big_m, atoms=atoms)
+    enc = Encoding(root=None, mode=ctx.mode, big_m=atoms.big_m(ctx), atoms=atoms)
     if ctx.mode == "qual":
         state = _QualState(atoms)
         v = state.known[cs.root][0]
@@ -277,12 +270,12 @@ def _encode_qual(ctx, enc, state: _QualState, nid: int, tau: int, guard: int | N
     if node.op == "pred":
         vids = ctx.state_vars[tau]
         row = {vids[d]: -c for d, c in cs.x_terms[node.pred]}
-        rhs = state.atoms.const[cs.atom_index[node.pred, tau]] - ctx.eps
+        rhs = state.atoms.const[cs.atom_index[node.pred, tau]] - EPS
         name = f"sat_{cs.predicates[node.pred].name}_t{tau}"
         if guard is not None:
             # e >= eps - M (1 - z)
-            row[guard] = ctx.big_m
-            rhs += ctx.big_m
+            row[guard] = enc.big_m
+            rhs += enc.big_m
             name += f"_g{guard}"
         ctx.model.add_constraint(row, "<=", rhs, name=name)
         return
@@ -366,8 +359,8 @@ def _quant_gate(ctx, enc, op: str, handles: list, label: str):
         return neutral
     if len(kids) == 1:
         return kids[0]
-    M2 = 2.0 * ctx.big_m
-    rbar = ctx.model.add_continuous(f"r_{label}", -ctx.big_m, ctx.big_m)
+    M2 = 2.0 * enc.big_m
+    rbar = ctx.model.add_continuous(f"r_{label}", -enc.big_m, enc.big_m)
     sels = [ctx.model.add_binary(f"p_{label}_{i}") for i in range(len(kids))] if op == "max" else []
     enc.n_binaries += len(sels)
     exprs = [_as_expr(h) for h in kids]
@@ -417,14 +410,14 @@ def require(ctx: EncodingContext, enc: Encoding) -> int | None:
     if len(e.coeffs) == 1 and e.const == 0.0:
         (vid, coef), = e.coeffs.items()
         if coef == 1.0 and not ctx.model.vars[vid].is_binary:
-            ctx.model.vars[vid].lb = max(ctx.model.vars[vid].lb, ctx.eps_robust)
+            ctx.model.vars[vid].lb = max(ctx.model.vars[vid].lb, EPS_ROBUST)
             return vid
-    rbar = ctx.model.add_continuous("r_root", -ctx.big_m, ctx.big_m)
+    rbar = ctx.model.add_continuous("r_root", -enc.big_m, enc.big_m)
     row = {rbar: 1.0}
     for v, c in e.coeffs.items():
         row[v] = row.get(v, 0.0) - c
     ctx.model.add_constraint(row, "=", e.const, name="root_value")
-    ctx.model.vars[rbar].lb = ctx.eps_robust
+    ctx.model.vars[rbar].lb = EPS_ROBUST
     enc.registry.append(("root", rbar, e))
     return rbar
 
@@ -447,7 +440,7 @@ def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tup
     for tau, vids in ctx.state_vars.items():
         for d, vid in enumerate(vids):
             vals[vid] = float(xs[tau, d])
-    plan = enc.atoms.fold(np.where(enc.atoms.holds(ctx, xs), 1.0, -1.0))
+    plan = enc.atoms.fold(np.where(enc.atoms.holds(xs), 1.0, -1.0))
     out: dict[int, int] = {}
     extras: dict[int, float] = {}
     for entry in enc.registry:

@@ -1,15 +1,11 @@
 """Signal temporal logic over joint system/agent trajectories.
 
-Formulas are built from affine predicates mu(s) >= 0 where s = (x, y_1..y_N)
-stacks the controllable system state with the states of N uncontrollable
-agents.  The grammar is
-
-    phi ::= true | mu >= 0 | !phi | phi & phi | phi | phi | phi U[a,b] phi
-
-with the usual derived operators F[a,b] (eventually), G[a,b] (always) and
-'->' (implication, desugared at parse time).  Semantics follow the discrete
-time convention where U[a,b] requires the right operand at some k' in
-[k+a, k+b] and the left operand at every k'' in [k, k'].
+Formulas are trees built in code from affine predicates mu(s) >= 0, where
+s = (x, y_1..y_N) stacks the controllable system state with the states of N
+uncontrollable agents: Pred(AffinePredicate(...)) leaves under TrueNode,
+Not, And, Or, Always G[a,b], Eventually F[a,b] and Until U[a,b].  Semantics
+follow the discrete time convention where U[a,b] requires the right operand
+at some k' in [k+a, k+b] and the left operand at every k'' in [k, k'].
 
 Every reading of a formula goes through one representation and one
 evaluator: compile_spec interns the formula into a node table (true, pred,
@@ -24,7 +20,6 @@ three-valued fold and plan readers use +1/0/-1 for True/undecided/False.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -33,16 +28,6 @@ import numpy as np
 #: Margin subtracted when a negated atom is rewritten in positive normal
 #: form: !(mu >= 0) becomes (-mu - NEGATION_MARGIN >= 0).
 NEGATION_MARGIN = 1e-9
-
-
-class StlSyntaxError(ValueError):
-    """Raised on malformed formula text; carries the offending position."""
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
 
 
 class TrajectoryTooShortError(ValueError):
@@ -179,343 +164,6 @@ Formula = Union[TrueNode, Pred, Not, And, Or, Always, Eventually, Until]
 #: Predicate that is false everywhere; stands in for the missing bottom
 #: constant (e.g. when negating `true` during PNF rewriting).
 FALSE_PREDICATE = AffinePredicate((), (), -1.0, name="false")
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
-def _pred_text(p: AffinePredicate, signals: "SignalMap") -> str:
-    terms = []
-    names = signals.slot_names()
-    coeffs = list(p.coeff_x) + [c for cy in p.coeff_y for c in cy]
-    for c, n in zip(coeffs, names):
-        if c == 0.0:
-            continue
-        if c == 1.0:
-            terms.append(f"+ {n}")
-        elif c == -1.0:
-            terms.append(f"- {n}")
-        elif c < 0:
-            terms.append(f"- {_fmt_num(-c)}*{n}")
-        else:
-            terms.append(f"+ {_fmt_num(c)}*{n}")
-    if p.offset != 0.0 or not terms:
-        terms.append(f"- {_fmt_num(-p.offset)}" if p.offset < 0 else f"+ {_fmt_num(p.offset)}")
-    text = " ".join(terms)
-    if text.startswith("+ "):
-        text = text[2:]
-    elif text.startswith("- "):
-        text = "-" + text[2:]
-    return f"{text} >= 0"
-
-
-def format_formula(f: Formula, signals: "SignalMap") -> str:
-    """Render a formula in the concrete syntax accepted by :func:`parse`."""
-    if isinstance(f, TrueNode):
-        return "true"
-    if isinstance(f, Pred):
-        return f"({_pred_text(f.predicate, signals)})"
-    if isinstance(f, Not):
-        return f"!{format_formula(f.child, signals)}"
-    if isinstance(f, And):
-        return "(" + " & ".join(format_formula(c, signals) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(" + " | ".join(format_formula(c, signals) for c in f.children) + ")"
-    if isinstance(f, Always):
-        return f"G[{f.a},{f.b}]{format_formula(f.child, signals)}"
-    if isinstance(f, Eventually):
-        return f"F[{f.a},{f.b}]{format_formula(f.child, signals)}"
-    if isinstance(f, Until):
-        return (
-            f"({format_formula(f.left, signals)} U[{f.a},{f.b}] "
-            f"{format_formula(f.right, signals)})"
-        )
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# signal naming
-
-
-@dataclass(frozen=True)
-class SignalMap:
-    """Maps signal names used in formula text to state slots.
-
-    x_names[j] is the j-th system state dimension, y_names[i][d] the d-th
-    dimension of agent i.
-    """
-
-    x_names: tuple[str, ...]
-    y_names: tuple[tuple[str, ...], ...]
-
-    @staticmethod
-    def default(n_x: int, agent_dims: Sequence[int]) -> "SignalMap":
-        """x1..xn for the system; y1..yN for 1-d agents, yi_d otherwise."""
-        xs = tuple(f"x{j + 1}" for j in range(n_x))
-        ys = []
-        for i, d in enumerate(agent_dims):
-            if d == 1:
-                ys.append((f"y{i + 1}",))
-            else:
-                ys.append(tuple(f"y{i + 1}_{j + 1}" for j in range(d)))
-        return SignalMap(xs, tuple(ys))
-
-    @property
-    def n_x(self) -> int:
-        return len(self.x_names)
-
-    @property
-    def agent_dims(self) -> tuple[int, ...]:
-        return tuple(len(y) for y in self.y_names)
-
-    def slot_names(self) -> list[str]:
-        return list(self.x_names) + [n for ys in self.y_names for n in ys]
-
-    def resolve(self, name: str):
-        for j, n in enumerate(self.x_names):
-            if n == name:
-                return ("x", j)
-        for i, ys in enumerate(self.y_names):
-            for d, n in enumerate(ys):
-                if n == name:
-                    return ("y", i, d)
-        raise KeyError(name)
-
-    def predicate(self, coeffs: dict[str, float], offset: float, name: str = "") -> AffinePredicate:
-        cx = [0.0] * self.n_x
-        cy = [[0.0] * d for d in self.agent_dims]
-        for sig, c in coeffs.items():
-            slot = self.resolve(sig)
-            if slot[0] == "x":
-                cx[slot[1]] += c
-            else:
-                cy[slot[1]][slot[2]] += c
-        return AffinePredicate(tuple(cx), tuple(tuple(r) for r in cy), offset, name=name)
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>->|>=|<=|[()\[\],&|!+\-*]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise StlSyntaxError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup == "num" or (m.group("num") is not None):
-            toks.append(("num", m.group(0).strip(), m.start()))
-        elif m.group("name") is not None:
-            toks.append(("name", m.group("name"), m.start("name")))
-        else:
-            toks.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    toks.append(("end", "", len(text)))
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str, signals: SignalMap):
-        self.text = text
-        self.signals = signals
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise StlSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise StlSyntaxError(f"trailing input {val!r}", pos)
-        return f
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[1] == "->":
-            self.next()
-            right = self.implication()
-            # p -> q  desugars immediately to  !p | q
-            return Or((Not(left), right))
-        return left
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.peek()[1] == "|":
-            self.next()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def conjunction(self) -> Formula:
-        parts = [self.until()]
-        while self.peek()[1] == "&":
-            self.next()
-            parts.append(self.until())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def until(self) -> Formula:
-        left = self.unary()
-        kind, val, pos = self.peek()
-        if kind == "name" and val == "U" and self.toks[self.i + 1][1] == "[":
-            self.next()
-            a, b = self.interval()
-            right = self.unary()
-            try:
-                return Until(a, b, left, right)
-            except ValueError as e:
-                raise StlSyntaxError(str(e), pos) from None
-        return left
-
-    def interval(self) -> tuple[int, int]:
-        self.expect("[")
-        a = self.number(int_only=True)
-        self.expect(",")
-        b = self.number(int_only=True)
-        self.expect("]")
-        return a, b
-
-    def number(self, int_only: bool = False):
-        sign = 1.0
-        if self.peek()[1] == "-":
-            self.next()
-            sign = -1.0
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise StlSyntaxError(f"expected number, found {val!r}", pos)
-        v = float(val) * sign
-        if int_only:
-            if v != int(v) or v < 0:
-                raise StlSyntaxError(f"interval bound must be a nonnegative integer, got {val}", pos)
-            return int(v)
-        return v
-
-    def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "!":
-            self.next()
-            return Not(self.unary())
-        if kind == "name" and val in ("G", "F") and self.toks[self.i + 1][1] == "[":
-            self.next()
-            a, b = self.interval()
-            child = self.unary()
-            try:
-                return Always(a, b, child) if val == "G" else Eventually(a, b, child)
-            except ValueError as e:
-                raise StlSyntaxError(str(e), pos) from None
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
-            f = self.implication()
-            self.expect(")")
-            return f
-        if kind == "name" and val in ("true", "True"):
-            self.next()
-            return TrueNode()
-        return self.atom()
-
-    def atom(self) -> Formula:
-        coeffs, const = self.linexpr()
-        kind, op, pos = self.next()
-        if op not in (">=", "<="):
-            raise StlSyntaxError(f"expected '>=' or '<=' in atom, found {op or 'end of input'!r}", pos)
-        rcoeffs, rconst = self.linexpr()
-        if op == ">=":
-            for k2, v in rcoeffs.items():
-                coeffs[k2] = coeffs.get(k2, 0.0) - v
-            offset = const - rconst
-        else:
-            out = {k2: -v for k2, v in coeffs.items()}
-            for k2, v in rcoeffs.items():
-                out[k2] = out.get(k2, 0.0) + v
-            coeffs, offset = out, rconst - const
-        try:
-            return Pred(self.signals.predicate(coeffs, offset))
-        except KeyError as e:
-            raise StlSyntaxError(f"unknown signal name {e.args[0]!r}", pos) from None
-
-    def linexpr(self) -> tuple[dict[str, float], float]:
-        coeffs: dict[str, float] = {}
-        const = 0.0
-        sign = 1.0
-        first = True
-        while True:
-            kind, val, pos = self.peek()
-            if not first:
-                if val == "+":
-                    self.next()
-                    sign = 1.0
-                elif val == "-":
-                    self.next()
-                    sign = -1.0
-                else:
-                    break
-            elif val in ("+", "-"):
-                self.next()
-                sign = 1.0 if val == "+" else -1.0
-            c, name = self.term()
-            if name is None:
-                const += sign * c
-            else:
-                coeffs[name] = coeffs.get(name, 0.0) + sign * c
-            first = False
-        return coeffs, const
-
-    def term(self) -> tuple[float, str | None]:
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.next()
-            c = float(val)
-            if self.peek()[1] == "*":
-                self.next()
-                kind, name, pos = self.next()
-                if kind != "name":
-                    raise StlSyntaxError(f"expected signal name after '*', found {name!r}", pos)
-                return c, name
-            return c, None
-        if kind == "name":
-            self.next()
-            return 1.0, val
-        raise StlSyntaxError(f"expected term, found {val or 'end of input'!r}", pos)
-
-
-def parse(text: str, signals: SignalMap) -> Formula:
-    """Parse formula text against a signal map.
-
-    Raises StlSyntaxError with a position for malformed input, unknown
-    signal names, or bad intervals.
-    """
-    return _Parser(text, signals).parse()
 
 
 # ---------------------------------------------------------------------------

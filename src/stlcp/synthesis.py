@@ -36,6 +36,8 @@ from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval
 
 DYNAMICS_TOL = 1e-7
 WILSON_Z = 1.959963984540054  # two-sided 95%
+#: Allowance below 1 - delta for the binomial noise of a finite test set.
+GUARANTEE_SLACK = 0.05
 
 
 class SynthesisError(ValueError):
@@ -203,7 +205,6 @@ class StepModel:
     enc: object
     root: int | None
     sys: SystemModel
-    spec: object
     k: int
     t_phi: int
     x_vars: dict[int, list[int]]
@@ -342,8 +343,8 @@ def build_step_model(
     root = require(ctx, enc)
 
     sm = StepModel(
-        model=model, ctx=ctx, enc=enc, root=root, sys=sys, spec=cs.formula,
-        k=k, t_phi=t_phi, x_vars=x_vars, u_vars=u_vars, insufficient=insufficient,
+        model=model, ctx=ctx, enc=enc, root=root, sys=sys, k=k, t_phi=t_phi,
+        x_vars=x_vars, u_vars=u_vars, insufficient=insufficient,
     )
     _apply_cost(sm, cost, xs_obs)
     return sm
@@ -464,7 +465,7 @@ def solve_step(
     one LP is the search.  Every dive and search plan is _checked."""
     if hint_xs is not None and hint_us is not None:
         vec = sm.candidate_solution(hint_xs, hint_us)
-        if vec is not None and not sm.model.check_solution(vec):
+        if vec is not None and not sm.model.check_solution(vec, sm.model.feasibility_tol()):
             return Solution("optimal", vec, sm.model.objective_value(vec)), "reuse"
     dive_iters = 0
     hint = suggest_assignment(sm.ctx, sm.enc, hint_xs) if hint_xs is not None else None
@@ -498,14 +499,13 @@ def synthesize_open_loop(
     mode: str = "qual",
     cost: CostSpec = CostSpec(),
     hint_xs: np.ndarray | None = None,
-    node_limit: int | None = None,
 ) -> ControlResult:
     """One plan at k = 0 covering the whole horizon, sound for every agent
     realization inside the open-loop prediction balls: step 0 of
     solve_step, diving first on the assignment hint_xs suggests."""
     ys_obs = {(0, i): np.asarray(y, dtype=float) for i, y in agents_now.items()}
     sm = build_step_model(sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius, mode=mode, cost=cost)
-    sol, _ = solve_step(sm, hint_xs, node_limit=node_limit)
+    sol, _ = solve_step(sm, hint_xs)
     if sol.status != "optimal":
         return ControlResult(status=_failure_status(sm, sol), nodes=sol.nodes, iterations=sol.iterations)
     xs = sm.plan_states(sol.x)
@@ -533,7 +533,7 @@ def run_closed_loop(
     radius: Callable[[int, int, int], float],
     *,
     mode: str = "qual",
-    cost: CostSpec | Callable[[int], CostSpec] = CostSpec(),
+    cost: CostSpec = CostSpec(),
     node_limit: int | None = None,
     process_noise: Callable[[int, np.ndarray], np.ndarray] | None = None,
     hint_xs: np.ndarray | None = None,
@@ -543,8 +543,9 @@ def run_closed_loop(
     """Shrinking-horizon loop: observe, re-plan with step-k radii, apply the
     first input, repeat; then judge the realized trajectory.
 
-    playback holds what each agent will actually do (revealed step by step);
-    predict(k) returns centers for every future (tau, agent); radius(k, tau,
+    playback holds what each agent will actually do (revealed step by step;
+    the result's ys keeps it through t_phi, whether the run completed or
+    aborted); predict(k) returns centers for every future (tau, agent); radius(k, tau,
     agent) the matching ball radius.  process_noise perturbs the simulated
     next state, for generation-style uses.  hint_xs/hint_us let step 0 start
     from an externally solved plan exactly as later steps start from the
@@ -561,6 +562,7 @@ def run_closed_loop(
     for i, y in enumerate(playback):
         if len(y) < t_phi + 1:
             raise SynthesisError(f"playback for agent {i} shorter than horizon {t_phi}")
+    playback = tuple(y[: t_phi + 1] for y in playback)
 
     xs = np.zeros((t_phi + 1, sys.n_x))
     xs[0] = sys.x0
@@ -569,29 +571,15 @@ def run_closed_loop(
     prev_xs = hint_xs
     prev_us = None if hint_us is None else {t: np.asarray(u, dtype=float) for t, u in hint_us.items()}
     ys_obs: dict[tuple[int, int], np.ndarray] = {}
-
-    def finish(status: str, k_done: int) -> ControlResult:
-        res = ControlResult(
-            status=status,
-            us=us[:k_done].copy(),
-            xs=xs[: k_done + 1].copy(),
-            records=records,
-            nodes=sum(r.nodes for r in records),
-            iterations=sum(r.iterations for r in records),
-            satisfied=False,
-            ys=playback,
-        )
-        _flush_log(log_path, records)
-        return res
+    status, k_done = "optimal", t_phi
 
     for k in range(t_phi):
         for i, y in enumerate(playback):
             ys_obs[(k, i)] = y[k]
         preds = predict(k)
-        step_cost = cost(k) if callable(cost) else cost
         sm = build_step_model(
             sys, cs, k, {tau: xs[tau] for tau in range(k + 1)}, dict(ys_obs), preds,
-            lambda tau, i, _k=k: radius(_k, tau, i), mode=mode, cost=step_cost,
+            lambda tau, i, _k=k: radius(_k, tau, i), mode=mode, cost=cost,
         )
         if prev_xs is not None:
             hint_states = np.asarray(prev_xs, dtype=float).copy()
@@ -599,57 +587,50 @@ def run_closed_loop(
         else:
             hint_states = None
         sol, solved_by = solve_step(sm, hint_states, prev_us, node_limit)
-        radii_used = {f"{tau},{i}": float(radius(k, tau, i)) for (tau, i) in sorted(preds)}
-        if sol.x is None:
-            records.append(StepRecord(
-                k=k, status=sol.status, solved_by=solved_by, objective=None, u=None,
-                x=[float(v) for v in xs[k]],
-                y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
-                radii=radii_used, nodes=sol.nodes, iterations=sol.iterations,
-                n_binaries=len(sm.model.binary_ids()), gap=None,
-            ))
-            return finish(_failure_status(sm, sol), k)
-        plan_xs = sm.plan_states(sol.x)
-        plan_us = sm.plan_inputs(sol.x)
-        u_k = plan_us[k]
-        stepped = sys.step(k, xs[k], u_k)
-        if float(np.max(np.abs(plan_xs[k + 1] - stepped))) > DYNAMICS_TOL:
-            raise MilpConsistencyError(
-                f"planned state at {k + 1} diverges from simulated dynamics by "
-                f"{float(np.max(np.abs(plan_xs[k + 1] - stepped))):.3e}"
-            )
+        applied = sol.x is not None
+        if applied:
+            plan_xs = sm.plan_states(sol.x)
+            plan_us = sm.plan_inputs(sol.x)
+            u_k = plan_us[k]
+            stepped = sys.step(k, xs[k], u_k)
+            if float(np.max(np.abs(plan_xs[k + 1] - stepped))) > DYNAMICS_TOL:
+                raise MilpConsistencyError(
+                    f"planned state at {k + 1} diverges from simulated dynamics by "
+                    f"{float(np.max(np.abs(plan_xs[k + 1] - stepped))):.3e}"
+                )
+        records.append(StepRecord(
+            k=k, status=sol.status, solved_by=solved_by,
+            objective=float(sol.objective) if applied and sol.objective is not None else None,
+            u=[float(v) for v in u_k] if applied else None, x=[float(v) for v in xs[k]],
+            y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
+            radii={f"{tau},{i}": float(radius(k, tau, i)) for (tau, i) in sorted(preds)},
+            nodes=sol.nodes, iterations=sol.iterations,
+            n_binaries=len(sm.model.binary_ids()), gap=float(sol.gap) if applied else None,
+        ))
+        if not applied:
+            status, k_done = _failure_status(sm, sol), k
+            break
         us[k] = u_k
         xs[k + 1] = stepped
         if process_noise is not None:
             xs[k + 1] = np.asarray(process_noise(k, xs[k + 1]), dtype=float)
-        records.append(StepRecord(
-            k=k, status=sol.status, solved_by=solved_by,
-            objective=None if sol.objective is None else float(sol.objective),
-            u=[float(v) for v in u_k], x=[float(v) for v in xs[k]],
-            y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
-            radii=radii_used, nodes=sol.nodes, iterations=sol.iterations,
-            n_binaries=len(sm.model.binary_ids()), gap=float(sol.gap),
-        ))
         prev_xs, prev_us = plan_xs, plan_us
 
-    trimmed = tuple(y[: t_phi + 1] for y in playback)
-    traj = JointTrajectory(xs, trimmed)
-    satisfied = eval_boolean(cs, traj, 0)
-    rho = eval_robustness(cs, traj, 0)
-    recovered = None
-    if sys.input_recover is not None:
-        recovered = np.stack([np.atleast_1d(sys.input_recover(k, xs[k], us[k])) for k in range(t_phi)])
-    res = ControlResult(
-        status="optimal", us=us, xs=xs,
-        objective=records[-1].objective,
-        root_value=None,
-        nodes=sum(r.nodes for r in records),
-        iterations=sum(r.iterations for r in records),
-        records=records, satisfied=satisfied, realized_robustness=rho,
-        recovered_us=recovered, ys=trimmed,
-    )
+    satisfied, rho, recovered = False, None, None
+    if status == "optimal":
+        traj = JointTrajectory(xs, playback)
+        satisfied = eval_boolean(cs, traj, 0)
+        rho = eval_robustness(cs, traj, 0)
+        if sys.input_recover is not None:
+            recovered = np.stack([np.atleast_1d(sys.input_recover(k, xs[k], us[k])) for k in range(t_phi)])
     _flush_log(log_path, records)
-    return res
+    return ControlResult(
+        status=status, us=us[:k_done], xs=xs[: k_done + 1],
+        objective=records[-1].objective, root_value=None,
+        nodes=sum(r.nodes for r in records), iterations=sum(r.iterations for r in records),
+        records=records, satisfied=satisfied, realized_robustness=rho,
+        recovered_us=recovered, ys=playback,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +655,10 @@ class GuaranteeReport:
         )
 
 
-def evaluate_guarantee(outcomes: Sequence[bool], delta: float, slack: float = 0.05) -> GuaranteeReport:
+def evaluate_guarantee(outcomes: Sequence[bool], delta: float) -> GuaranteeReport:
     """Wilson 95% lower confidence bound on the satisfaction rate, compared
-    against 1 - delta - slack.  The slack absorbs the binomial noise a finite
-    test set adds on top of the coverage guarantee."""
+    against 1 - delta - GUARANTEE_SLACK.  The slack absorbs the binomial
+    noise a finite test set adds on top of the coverage guarantee."""
     n = len(outcomes)
     if n < 100:
         raise ValueError(f"guarantee evaluation needs at least 100 runs, got {n}")
@@ -690,8 +671,10 @@ def evaluate_guarantee(outcomes: Sequence[bool], delta: float, slack: float = 0.
     center = phat + z * z / (2.0 * n)
     rad = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
     lb = (center - rad) / denom
-    target = 1.0 - delta - slack
-    return GuaranteeReport(n=n, successes=s, rate=phat, lower_bound=lb, target=target, slack=slack, passed=lb >= target)
+    target = 1.0 - delta - GUARANTEE_SLACK
+    return GuaranteeReport(
+        n=n, successes=s, rate=phat, lower_bound=lb, target=target, slack=GUARANTEE_SLACK, passed=lb >= target
+    )
 
 
 def _flush_log(log_path: str | None, records: list[StepRecord]) -> None:

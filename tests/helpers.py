@@ -100,22 +100,9 @@ def oracle_split_margin(f, xs, now, tau):
 # formula builders only the tests use
 
 
-def box_inside(signals, names, lo, hi, label=""):
-    """Conjunction of affine atoms keeping each named signal within [lo, hi]."""
-    atoms = []
-    for n, l, h in zip(names, lo, hi):
-        atoms.append(stl.Pred(signals.predicate({n: 1.0}, -float(l), name=f"{label}:{n}>={l}")))
-        atoms.append(stl.Pred(signals.predicate({n: -1.0}, float(h), name=f"{label}:{n}<={h}")))
-    return stl.And(tuple(atoms))
-
-
-def box_outside(signals, names, lo, hi, label=""):
-    """Disjunction of affine atoms keeping some named signal outside [lo, hi]."""
-    atoms = []
-    for n, l, h in zip(names, lo, hi):
-        atoms.append(stl.Pred(signals.predicate({n: -1.0}, float(l), name=f"{label}:{n}<={l}")))
-        atoms.append(stl.Pred(signals.predicate({n: 1.0}, -float(h), name=f"{label}:{n}>={h}")))
-    return stl.Or(tuple(atoms))
+def atom(cx, cy, off, name="p"):
+    """Pred leaf for the affine atom cx . x + sum_i cy[i] . y_i + off >= 0."""
+    return stl.Pred(stl.AffinePredicate(tuple(cx), tuple(tuple(c) for c in cy), float(off), name=name))
 
 
 # ---------------------------------------------------------------------------

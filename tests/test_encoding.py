@@ -171,9 +171,8 @@ def assert_table_matches_oracle(ctx, cs, table):
         if isinstance(ref, float):
             assert not table.linear[j]
             assert table.const[j] == ref
-            assert table.truth[j] is (ref >= 0.0)
         else:
-            assert table.linear[j] and table.truth[j] is None
+            assert table.linear[j]
             assert table.const[j] == ref.const
             vids = ctx.state_vars[tau]
             assert {vids[d]: c for d, c in cs.x_terms[p]} == ref.coeffs
@@ -297,6 +296,31 @@ class TestBigM:
         )
         f = stl.Pred(pred_xy([1.0], [], 0.0))
         assert select_big_m(ctx, f) == pytest.approx(2.0)
+
+    def test_each_formula_gets_its_own_big_m(self):
+        # two encodes through one context: the second must not inherit the
+        # first formula's big-M, which would be too small for its atoms
+        model = MilpModel()
+        ctx = EncodingContext(
+            model=model,
+            t_phi=1,
+            k=0,
+            state_vars={1: [model.add_continuous("x1", -1.0, 1.0)]},
+            observed_x={0: np.array([0.0])},
+            predicted_y={},
+            observed_y={},
+            radius=lambda t, i: 0.0,
+        )
+        first = stl.Always(1, 1, stl.Or((stl.Pred(pred_xy([1.0], [], 0.0)), stl.Pred(pred_xy([-1.0], [], 0.0)))))
+        second = stl.Always(1, 1, stl.Or((stl.Pred(pred_xy([1.0], [], -50.0)), stl.Pred(pred_xy([-1.0], [], 0.5)))))
+        assert encode(ctx, first).big_m == pytest.approx(2.0)
+        n_rows = len(model.rows)
+        enc = encode(ctx, second)
+        assert enc.big_m == select_big_m(ctx, second) == pytest.approx(102.0)
+        # the second formula's guarded atom rows carry its own big-M
+        guarded = [r for r in model.rows[n_rows:] if "_g" in r.name]
+        assert len(guarded) == 2
+        assert all(enc.big_m in r.coeffs.values() for r in guarded)
 
 
 class TestFolding:
@@ -451,7 +475,7 @@ class TestEncodeAndSolve:
                 enc = encode(ctx, f)
                 require(ctx, enc)
                 feas[mode] = solve_bb(model).status == "optimal"
-            assert feas["qual"] == feas["quant"], stl.format_formula(f, stl.SignalMap.default(1, (1,)))
+            assert feas["qual"] == feas["quant"], f
             both[feas["qual"]] += 1
         assert both[True] >= 5 and both[False] >= 1
 

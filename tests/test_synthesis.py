@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import oracle_boolean, oracle_robustness
+from helpers import atom, oracle_boolean, oracle_robustness
 from stlcp import milp, stl, synthesis
 from stlcp.casestudies import (
     RobotScenario,
@@ -31,10 +31,6 @@ from stlcp.synthesis import (
     synthesize_open_loop,
     write_trajectory_csv,
 )
-
-
-def atom(cx, cy, off, name="p"):
-    return stl.Pred(stl.AffinePredicate(tuple(cx), tuple(tuple(c) for c in cy), float(off), name=name))
 
 
 def integrator(x0=0.0, xlo=-10.0, xhi=10.0, ulo=-1.0, uhi=1.0):
@@ -274,6 +270,20 @@ class TestClosedLoop:
         assert res.records[0].status == "optimal" and res.records[1].status == "optimal"
         assert res.xs.shape == (3, 1) and res.us.shape == (2, 1)
 
+    def test_aborted_run_trims_playback_to_horizon(self):
+        # same abort as above, with a playback that runs past the horizon:
+        # an aborted run reports ys through t_phi, as a completed run does
+        sys = integrator(xlo=-1.0, xhi=1.0)
+        spec = stl.Always(1, 3, atom([1.0], [(-1.0,)], 0.0))
+        y_true = np.array([[0.0], [0.0], [5.0], [5.0], [5.0], [5.0]])
+        res = run_closed_loop(
+            sys, spec, (y_true,),
+            lambda k: {(t, 0): np.array([0.0]) for t in range(k + 1, 4)},
+            lambda k, tau, i: 0.0,
+        )
+        assert res.status == "infeasible" and len(res.records) == 3
+        assert len(res.ys) == 1 and np.array_equal(res.ys[0], y_true[:4])
+
     def test_disturbance_replan_uses_observed_agent(self):
         # agent follows the zero prediction until a jump at t = 4; the k = 4
         # re-solve must fold the observed value and drop the past binaries
@@ -414,6 +424,21 @@ class TestClosedLoop:
         sol, solved_by = synthesis.solve_step(sm, np.array([[0.0], [1.0]]))  # hinted, but nothing to dive on
         assert (sol.status, solved_by) == ("optimal" if bound < 1.0 else "infeasible", "search")
         assert solved == [{}]
+
+    def test_reuse_accepts_a_plan_within_the_model_tolerance(self):
+        # the hinted plan misses its dynamics row by 1e-6: above the absolute
+        # FEASIBILITY_TOL, inside the model's feasibility_tol() (max |rhs| is
+        # about 50), which dives and searches are held to as well
+        sys = integrator(x0=50.0, xlo=-100.0, xhi=100.0)
+        sm = build_step_model(sys, stl.Always(1, 1, atom([1.0], [], -40.0)), 0, {0: sys.x0}, {}, {},
+                              lambda tau, i: 0.0)
+        hint_xs, hint_us = np.array([[50.0], [50.5 + 1e-6]]), {0: np.array([0.5])}
+        vec = sm.candidate_solution(hint_xs, hint_us)
+        assert milp.FEASIBILITY_TOL < 1e-6 < sm.model.feasibility_tol()
+        assert sm.model.check_solution(vec) and not sm.model.check_solution(vec, sm.model.feasibility_tol())
+        sol, solved_by = synthesis.solve_step(sm, hint_xs, hint_us)
+        assert (sol.status, solved_by) == ("optimal", "reuse")
+        assert np.array_equal(sol.x, vec)
 
     def test_playback_too_short_raises(self):
         sys = integrator()
