@@ -34,7 +34,6 @@ from .encoding import (
 from .milp import MilpModel, Solution, dive_solve, solve_bb
 from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval_robustness, to_pnf
 
-DYNAMICS_TOL = 1e-7
 WILSON_Z = 1.959963984540054  # two-sided 95%
 #: Allowance below 1 - delta for the binomial noise of a finite test set.
 GUARANTEE_SLACK = 0.05
@@ -46,7 +45,7 @@ class SynthesisError(ValueError):
 
 class MilpConsistencyError(RuntimeError):
     """A plan violates its own step model, or its states disagree with
-    simulating its inputs."""
+    simulating its inputs by more than the model's feasibility_tol()."""
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +592,10 @@ def run_closed_loop(
             plan_us = sm.plan_inputs(sol.x)
             u_k = plan_us[k]
             stepped = sys.step(k, xs[k], u_k)
-            if float(np.max(np.abs(plan_xs[k + 1] - stepped))) > DYNAMICS_TOL:
+            miss = float(np.max(np.abs(plan_xs[k + 1] - stepped)))
+            if miss > sm.model.feasibility_tol():  # the tolerance solve_step accepted its dyn rows within
                 raise MilpConsistencyError(
-                    f"planned state at {k + 1} diverges from simulated dynamics by "
-                    f"{float(np.max(np.abs(plan_xs[k + 1] - stepped))):.3e}"
+                    f"planned state at {k + 1} diverges from simulated dynamics by {miss:.3e}"
                 )
         records.append(StepRecord(
             k=k, status=sol.status, solved_by=solved_by,
@@ -644,7 +643,6 @@ class GuaranteeReport:
     rate: float
     lower_bound: float
     target: float
-    slack: float
     passed: bool
 
     def line(self) -> str:
@@ -672,9 +670,7 @@ def evaluate_guarantee(outcomes: Sequence[bool], delta: float) -> GuaranteeRepor
     rad = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
     lb = (center - rad) / denom
     target = 1.0 - delta - GUARANTEE_SLACK
-    return GuaranteeReport(
-        n=n, successes=s, rate=phat, lower_bound=lb, target=target, slack=GUARANTEE_SLACK, passed=lb >= target
-    )
+    return GuaranteeReport(n=n, successes=s, rate=phat, lower_bound=lb, target=target, passed=lb >= target)
 
 
 def _flush_log(log_path: str | None, records: list[StepRecord]) -> None:

@@ -440,6 +440,32 @@ class TestClosedLoop:
         assert (sol.status, solved_by) == ("optimal", "reuse")
         assert np.array_equal(sol.x, vec)
 
+    def test_closed_loop_applies_a_reused_plan_within_the_model_tolerance(self):
+        # the same hinted plan, end to end: step 0 reuses it and the closed
+        # loop's dynamics check holds it to the same tolerance, so the run
+        # completes on the simulated state rather than raising
+        sys = integrator(x0=50.0, xlo=-100.0, xhi=100.0)
+        res = run_closed_loop(
+            sys, stl.Always(1, 1, atom([1.0], [], -40.0)), (), lambda k: {}, lambda k, tau, i: 0.0,
+            hint_xs=np.array([[50.0], [50.5 + 1e-6]]), hint_us={0: np.array([0.5])},
+        )
+        assert res.status == "optimal" and res.satisfied
+        assert [r.solved_by for r in res.records] == ["reuse"]
+        assert res.us.tolist() == [[0.5]] and res.xs.tolist() == [[50.0], [50.5]]
+
+    def test_process_noise_inside_the_model_tolerance_keeps_reusing(self):
+        # noise of 1e-6 on each simulated state makes the step-1 hint miss
+        # its dynamics row by 1e-6, inside feasibility_tol() (max |rhs| is
+        # about 50): the plan is reused and applied, not rejected
+        sys = integrator(x0=50.0, xlo=-100.0, xhi=100.0)
+        res = run_closed_loop(
+            sys, stl.Always(1, 2, atom([1.0], [], -40.0)), (), lambda k: {}, lambda k, tau, i: 0.0,
+            cost=CostSpec("input-l1"), process_noise=lambda k, x: x + 1e-6,
+        )
+        assert res.status == "optimal" and res.satisfied
+        assert [r.solved_by for r in res.records] == ["search", "reuse"]
+        assert np.allclose(res.xs[:, 0], [50.0, 50.0 + 1e-6, 50.0 + 2e-6], rtol=0.0, atol=1e-12)
+
     def test_playback_too_short_raises(self):
         sys = integrator()
         spec = stl.Always(1, 3, atom([1.0], [(-1.0,)], 0.0))
