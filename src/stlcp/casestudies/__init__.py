@@ -4,11 +4,8 @@ leader-follower robot motion planning."""
 from .temperature import (
     TemperatureScenario,
     build_temperature_spec,
-    cooling_path,
     gen_temperature_dataset,
-    simulate_temperature,
     temperature_reformulate,
-    temperature_step,
 )
 from .robot import (
     RobotScenario,
@@ -24,11 +21,8 @@ from .robot import (
 __all__ = [
     "TemperatureScenario",
     "build_temperature_spec",
-    "cooling_path",
     "gen_temperature_dataset",
-    "simulate_temperature",
     "temperature_reformulate",
-    "temperature_step",
     "RobotScenario",
     "FollowerExperiment",
     "LeaderGenStats",

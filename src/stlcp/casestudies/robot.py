@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from ..prediction import (
     AgentTrajectory,
     FilePredictor,
     PredictionTable,
-    TrajectoryDataset,
     split_dataset,
 )
 from ..stl import (
@@ -317,7 +316,7 @@ def _feedback_replay(
         v = x[[_VX, _VY]]
         u = np.clip(u, -sc.vel_lim - v, sc.vel_lim - v)
         out_us[tau] = u
-        x = sys.step(tau, x, u)
+        x = sys.step(x, u)
         out_xs[tau + 1] = x
     return out_xs, out_us
 
@@ -380,7 +379,7 @@ def _rollout_leader(
             if sol.status != "optimal":
                 return None
             ref_xs, ref_us = sm.plan_states(sol.x), sm.plan_inputs(sol.x)
-        nxt = sys.step(k, xs[k], ref_us[k])
+        nxt = sys.step(xs[k], ref_us[k])
         nxt[_PX] += rng.uniform(-sc.disturbance, sc.disturbance)
         nxt[_PY] += rng.uniform(-sc.disturbance, sc.disturbance)
         xs[k + 1] = nxt
@@ -474,8 +473,6 @@ class FollowerExperiment:
     gen_stats: LeaderGenStats
     base: ControlResult
     runtime: float
-    dataset: TrajectoryDataset = field(repr=False, default=None)
-    predictor: FilePredictor = field(repr=False, default=None)
 
 
 def run_follower_experiment(
@@ -483,7 +480,6 @@ def run_follower_experiment(
     seed: int = 11,
     scenario: RobotScenario = RobotScenario(),
     sizes: tuple[int, int, int] = (50, 100, 300),
-    log_dir: str | None = None,
 ) -> FollowerExperiment:
     """Generate leaders, calibrate regions, run the closed-loop follower on
     held-out leaders, and grade the satisfaction rate against 1 - delta.
@@ -525,12 +521,11 @@ def run_follower_experiment(
     outcomes: list[bool] = []
     aborted = 0
     solved_by = {"reuse": 0, "dive": 0, "search": 0}
-    for j, tr in enumerate(test[:n_runs]):
-        log_path = f"{log_dir}/run{j:03d}.jsonl" if log_dir else None
+    for tr in test[:n_runs]:
         res = run_closed_loop(
             sys, spec, (tr.ys[0],), preds_at,
             lambda k, tau, i: radii.closed_radius(k, tau, i),
-            hint_xs=base.xs, hint_us=hint_us, log_path=log_path,
+            hint_xs=base.xs, hint_us=hint_us,
         )
         outcomes.append(bool(res.feasible and res.satisfied))
         aborted += 0 if res.feasible else 1
@@ -546,6 +541,4 @@ def run_follower_experiment(
         gen_stats=gen_stats,
         base=base,
         runtime=time.monotonic() - t0,
-        dataset=ds,
-        predictor=predictor,
     )

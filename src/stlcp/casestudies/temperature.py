@@ -85,24 +85,7 @@ class TemperatureScenario:
 
 
 # ---------------------------------------------------------------------------
-# dynamics, both forms
-
-
-def temperature_step(sc: TemperatureScenario, x: float, u: float) -> float:
-    """One step of the bilinear plant."""
-    return x + sc.tau_s * (
-        sc.alpha_e * (sc.t_outside - x) + sc.alpha_h * (sc.t_heater - x) * u
-    )
-
-
-def simulate_temperature(sc: TemperatureScenario, us, x0: float | None = None) -> np.ndarray:
-    """Roll the bilinear plant directly; the oracle for the linear form."""
-    us = np.asarray(us, dtype=float).reshape(-1)
-    xs = np.empty(len(us) + 1)
-    xs[0] = sc.x0 if x0 is None else float(x0)
-    for k, u in enumerate(us):
-        xs[k + 1] = temperature_step(sc, xs[k], float(u))
-    return xs
+# dynamics
 
 
 def temperature_reformulate(sc: TemperatureScenario) -> SystemModel:
@@ -125,7 +108,7 @@ def temperature_reformulate(sc: TemperatureScenario) -> SystemModel:
         state_box=([sc.temp_lo], [sc.temp_hi]),
         input_box=([0.0], [heater - sc.temp_lo]),
         mixed_rows=(MixedRow((1.0,), (1.0,), "<=", heater, name="valve"),),
-        input_recover=lambda tau, x, w: np.array([float(w[0]) / (heater - float(x[0]))]),
+        input_recover=lambda x, w: np.array([float(w[0]) / (heater - float(x[0]))]),
     )
 
 
@@ -173,22 +156,9 @@ def build_temperature_spec(horizon: int = 12, gap: float = 5.0) -> Formula:
 # room dataset
 
 
-def cooling_path(y0: float, pref: float, kappa: float, steps: int) -> np.ndarray:
-    """Y_{t+1} = Y_t + kappa.(pref - Y_t).
-
-    kappa = 0 holds the temperature, kappa = 1 jumps to pref in one step,
-    and in between |Y_t - pref| decays geometrically by (1 - kappa).
-    """
-    y = np.empty(steps + 1)
-    y[0] = float(y0)
-    for t in range(steps):
-        y[t + 1] = y[t] + kappa * (pref - y[t])
-    return y
-
-
 def _room_path(sc: TemperatureScenario, rng: np.random.Generator, total: int, base: float) -> np.ndarray:
-    """One room: exponential approach to a preference that shifts at random
-    occupancy events."""
+    """One room: Y_{t+1} = Y_t + kappa.(pref - Y_t), an exponential approach
+    to a preference that shifts at random occupancy events."""
     kappa = rng.uniform(sc.kappa_lo, sc.kappa_hi)
     pref = base + rng.uniform(-sc.room_spread, sc.room_spread)
     n_events = int(rng.integers(1, sc.events_max + 1))

@@ -403,9 +403,9 @@ def cmd_validate_coverage(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _synth_common(cfg: ExperimentConfig):
+def _synth_common(cfg: ExperimentConfig, command: str):
     sc = make_scenario(cfg)
-    ds, ds_path = _load_or_gen_dataset(cfg, sc, f"synth-{cfg.loop}")
+    ds, ds_path = _load_or_gen_dataset(cfg, sc, command)
     t_phi = _t_phi(cfg, sc)
     predictor, sigma, radii = _fit_and_calibrate(cfg, sc, ds)
     test = ds.subset("test")
@@ -450,7 +450,7 @@ def _export_step_lp(cfg, sys_model, spec, tr, pt, radii, t_phi: int) -> str:
 
 
 def cmd_synth_open(cfg: ExperimentConfig) -> int:
-    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg)
+    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-open")
     agents_now = {i: tr.ys[i][0] for i in range(tr.n_agents)}
     res = synthesize_open_loop(
         sys_model, spec, agents_now, pt.row(0),
@@ -493,7 +493,7 @@ def cmd_synth_open(cfg: ExperimentConfig) -> int:
 
 
 def cmd_synth_closed(cfg: ExperimentConfig) -> int:
-    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg)
+    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-closed")
     log_path = _out(cfg, "steps.jsonl")
     res = run_closed_loop(
         sys_model, spec, tr.ys, lambda k: pt.row(k),
@@ -669,16 +669,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        errors = validate_config(cfg)
+        if not errors:
+            make_scenario(cfg)  # rejects bad overrides; resolves delta before hashing configs
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    errors = validate_config(cfg)
+        errors = [e]
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
     os.makedirs(cfg.out, exist_ok=True)
-    make_scenario(cfg)  # resolves delta before hashing configs
     try:
         return _COMMANDS[args.command](cfg)
     except (ValueError, RuntimeError) as e:

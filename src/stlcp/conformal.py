@@ -165,30 +165,28 @@ class RegionRadii:
         return math.isfinite(self.c_ol) and math.isfinite(self.c_cl)
 
 
-def calibrate(
-    cal: Sequence[AgentTrajectory], predictor, sigma: NormalizationTable, delta: float
-) -> RegionRadii:
-    r_ol, r_cl = trajectory_scores(cal, predictor, sigma)
+def _radii(scores_ol, scores_cl, sigma: NormalizationTable, delta: float) -> RegionRadii:
+    """Region radii from the calibration scores at miscoverage delta."""
+    n_cal = len(scores_ol)
     return RegionRadii(
         delta=delta,
-        n_cal=len(cal),
-        rank=conformal_rank(len(cal), delta),
-        c_ol=conformal_quantile(r_ol, delta),
-        c_cl=conformal_quantile(r_cl, delta),
+        n_cal=n_cal,
+        rank=conformal_rank(n_cal, delta),
+        c_ol=conformal_quantile(scores_ol, delta),
+        c_cl=conformal_quantile(scores_cl, delta),
         sigma=sigma,
     )
 
 
+def calibrate(
+    cal: Sequence[AgentTrajectory], predictor, sigma: NormalizationTable, delta: float
+) -> RegionRadii:
+    return _radii(*trajectory_scores(cal, predictor, sigma), sigma, delta)
+
+
 def radii_for_delta(radii: RegionRadii, cal_scores_ol, cal_scores_cl, delta: float) -> RegionRadii:
     """Re-quantile cached calibration scores at a different delta."""
-    return RegionRadii(
-        delta=delta,
-        n_cal=len(cal_scores_ol),
-        rank=conformal_rank(len(cal_scores_ol), delta),
-        c_ol=conformal_quantile(cal_scores_ol, delta),
-        c_cl=conformal_quantile(cal_scores_cl, delta),
-        sigma=radii.sigma,
-    )
+    return _radii(cal_scores_ol, cal_scores_cl, radii.sigma, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ INTEGRALITY_TOL = 1e-7
 GAP_TOL = 1e-6
 _PIVOT_TOL = 1e-9
 
-#: Branch-and-bound nodes per solve unless the caller passes node_limit.
+#: Branch-and-bound nodes per solve_bb call.
 NODE_LIMIT = 200000
 
 
@@ -78,9 +78,6 @@ class Solution:
     nodes: int = 0
     gap: float = 0.0
 
-    def value(self, vid: int) -> float:
-        return float(self.x[vid])
-
 
 class MilpModel:
     def __init__(self, name: str = "model"):
@@ -101,9 +98,6 @@ class MilpModel:
     def add_binary(self, name: str) -> int:
         self.vars.append(_Var(name, 0.0, 1.0, True))
         return len(self.vars) - 1
-
-    def fix_var(self, vid: int, value: float) -> None:
-        self.vars[vid].lb = self.vars[vid].ub = float(value)
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float, name: str = "") -> int:
         if sense not in ("<=", ">=", "="):
@@ -593,15 +587,6 @@ def _solve_fixed(arr: _Arrays, fixed: dict[int, float]):
     return "optimal", x, float(arr.c[free] @ xf) + const, lp.iters
 
 
-def solve_lp(model: MilpModel) -> Solution:
-    """LP relaxation (binaries relaxed to [0,1])."""
-    c, A, eq, b, lb, ub = model.arrays()
-    status, x, obj, iters = _solve_fixed(_Arrays(c, A, eq, b, lb, ub), {})
-    if status != "optimal":
-        return Solution(status, iterations=iters)
-    return Solution("optimal", x, obj + model.obj_const, iterations=iters)
-
-
 def dive_solve(model: MilpModel, assignment: dict[int, int]) -> Solution:
     """Single LP with every binary pinned to the given 0/1 value.
 
@@ -629,7 +614,7 @@ def dive_solve(model: MilpModel, assignment: dict[int, int]) -> Solution:
 # branch and bound
 
 
-def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None = None) -> Solution:
+def solve_bb(model: MilpModel) -> Solution:
     """Branch and bound on the most fractional binary, warm-started.
 
     Presolve first runs _propagate over the rows within
@@ -651,14 +636,11 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
     it is accepted if it fails check_solution.  A node is pruned once its
     bound comes within GAP_TOL of the incumbent, and a binary within
     INTEGRALITY_TOL of 0 or 1 counts as integral.  With a constant
-    objective the first incumbent ends the search.  A model without
-    binaries is one LP, solved once.
-
-    log: list that receives one dict per event (incumbent, branched,
-    pruned-bound, pruned-infeasible).
+    objective the first incumbent ends the search.  A search that has
+    solved NODE_LIMIT nodes stops with status "limit", keeping its
+    incumbent, if any, and its gap.  A model without binaries is one LP,
+    solved once.
     """
-    if node_limit is None:
-        node_limit = NODE_LIMIT
     c, A, eq, b, lb, ub = model.arrays()
     arr = _Arrays(c, A, eq, b, lb, ub)
     binaries = model.binary_ids()
@@ -667,11 +649,6 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
     best_x = None
     best_obj = math.inf
     total_iters = 0
-    nodes = 0
-
-    def record(event: str, **kw):
-        if log is not None:
-            log.append({"event": event, "node": nodes, "incumbent": None if best_x is None else best_obj, **kw})
 
     if not binaries:
         status, x, obj, iters = _solve_fixed(arr, {})
@@ -701,9 +678,7 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
     status_out = "limit" if status == "limit" else "optimal"
     heap: list = []
     open_bound = []  # bound of a node the node limit left unsolved
-    if status == "infeasible":
-        record("pruned-infeasible")
-    elif status == "optimal":
+    if status == "optimal":
         lp.load(lp.basis, lp.stat)
         maxiter = max(2000, 40 * sum(lp.T.shape))
         root_lo, root_hi = lb[bins], ub[bins]
@@ -718,7 +693,6 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
                 x = lp.x()
                 obj = float(c @ x)
                 if best_x is not None and obj >= best_obj - GAP_TOL:
-                    record("pruned-bound", bound=obj)
                     continue
                 xb = x[bins]
                 frac = np.flatnonzero((fix < 0) & (np.minimum(xb, 1.0 - xb) > INTEGRALITY_TOL))
@@ -729,11 +703,9 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
                         st, cand, obj, iters = _solve_fixed(arr, dict(zip(binaries, cand[bins])))
                         total_iters += iters
                         if st != "optimal":
-                            record("pruned-infeasible")
                             continue
                     if obj < best_obj - 1e-12:
                         best_x, best_obj = cand, obj
-                        record("incumbent", bound=obj)
                     if zero_obj:
                         break
                     continue
@@ -746,7 +718,6 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
                 fix[i] = first
                 depth += 1
                 hot = (obj, jb, first)
-                record("branched", var=jb, bound=obj)
 
             if hot is not None:
                 bound, jb, first = hot
@@ -761,7 +732,7 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
                     heap.clear()
                     break
                 depth = -neg_depth
-            if nodes >= node_limit:
+            if nodes >= NODE_LIMIT:
                 status_out = "limit"
                 open_bound.append(bound)
                 break
@@ -781,10 +752,7 @@ def solve_bb(model: MilpModel, node_limit: int | None = None, log: list | None =
                     break
                 if st == "optimal":
                     lp.load(lp.basis, lp.stat)
-            if st == "optimal":
-                solved = True
-            else:
-                record("pruned-infeasible")
+            solved = st == "optimal"
     if lp is not None:
         total_iters += lp.iters
 

@@ -67,15 +67,6 @@ class AffinePredicate:
     def n_agents(self) -> int:
         return len(self.coeff_y)
 
-    def value(self, x: Sequence[float], ys: Sequence[Sequence[float]]) -> float:
-        acc = self.offset
-        for c, v in zip(self.coeff_x, x):
-            acc += c * v
-        for cy, y in zip(self.coeff_y, ys):
-            for c, v in zip(cy, y):
-                acc += c * v
-        return acc
-
     def negated(self) -> "AffinePredicate":
         """Strict complement with the PNF margin: -mu - eta >= 0."""
         return AffinePredicate(
@@ -276,8 +267,9 @@ class CompiledSpec:
 
     def predicate_values(self, xs: np.ndarray, ys: Sequence[np.ndarray] = ()) -> np.ndarray:
         """mu[p, t] for states xs[t] (rows) and agent states ys[i][t],
-        summed in AffinePredicate.value's order so the values agree bit for
-        bit; dimensions either side lacks are skipped, as zip does there."""
+        summed left to right from the offset: each state coordinate, then
+        each agent's coordinates, agent by agent.  A dimension that either
+        the predicate or the signal lacks is skipped."""
         mu = np.repeat(self.offsets[:, None], len(xs), axis=1)
         for d in range(min(self.coeff_x.shape[1], xs.shape[1])):
             mu += self.coeff_x[:, d, None] * xs[:, d]

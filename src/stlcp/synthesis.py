@@ -69,14 +69,13 @@ class MixedRow:
 
 
 class SystemModel:
-    """Discrete-time affine plant x_{tau+1} = A_tau x_tau + B_tau u_tau + c_tau.
+    """Discrete-time affine plant x_{tau+1} = A x_tau + B u_tau + c.
 
-    a, b, c are either a single matrix/vector (time invariant) or a sequence
-    with one entry per step.  state_box/input_box are (lo, hi) arrays and
-    become variable bounds.  mixed_rows are enforced at every step.
-    input_recover maps a solved (step, state, model input) back to the
-    physical actuation when the model is an exact reformulation of
-    input-affine dynamics; it never feeds back into the MILP.
+    state_box/input_box are (lo, hi) arrays and become variable bounds.
+    mixed_rows are enforced at every step.  input_recover maps a solved
+    (state, model input) back to the physical actuation when the model is an
+    exact reformulation of input-affine dynamics; it never feeds back into
+    the MILP.
     """
 
     def __init__(
@@ -88,11 +87,11 @@ class SystemModel:
         state_box: tuple[Sequence[float], Sequence[float]],
         input_box: tuple[Sequence[float], Sequence[float]],
         mixed_rows: Sequence[MixedRow] = (),
-        input_recover: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None,
+        input_recover: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ):
-        self._a = self._norm_seq(a, 2)
-        self._b = self._norm_seq(b, 2)
-        self._c = self._norm_seq(c, 1)
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.c = np.asarray(c, dtype=float)
         self.x0 = np.asarray(x0, dtype=float)
         self.state_lo = np.asarray(state_box[0], dtype=float)
         self.state_hi = np.asarray(state_box[1], dtype=float)
@@ -100,26 +99,17 @@ class SystemModel:
         self.input_hi = np.asarray(input_box[1], dtype=float)
         self.mixed_rows = tuple(mixed_rows)
         self.input_recover = input_recover
-        a0, b0, _ = self.mats(0)
-        self.n_x = a0.shape[0]
-        self.n_u = b0.shape[1]
+        self.n_x = self.a.shape[0]
+        self.n_u = self.b.shape[1]
         self._validate()
 
-    @staticmethod
-    def _norm_seq(m, ndim: int):
-        arr = np.asarray(m, dtype=float)
-        if arr.ndim == ndim:
-            return arr
-        return [np.asarray(one, dtype=float) for one in m]
-
     def _validate(self) -> None:
-        a0, b0, c0 = self.mats(0)
-        if a0.shape != (self.n_x, self.n_x):
-            raise SynthesisError(f"A must be {self.n_x}x{self.n_x}, got {a0.shape}")
-        if b0.shape != (self.n_x, self.n_u):
-            raise SynthesisError(f"B must be {self.n_x}x{self.n_u}, got {b0.shape}")
-        if c0.shape != (self.n_x,):
-            raise SynthesisError(f"c must have length {self.n_x}, got {c0.shape}")
+        if self.a.shape != (self.n_x, self.n_x):
+            raise SynthesisError(f"A must be {self.n_x}x{self.n_x}, got {self.a.shape}")
+        if self.b.shape != (self.n_x, self.n_u):
+            raise SynthesisError(f"B must be {self.n_x}x{self.n_u}, got {self.b.shape}")
+        if self.c.shape != (self.n_x,):
+            raise SynthesisError(f"c must have length {self.n_x}, got {self.c.shape}")
         for name, arr, want in (
             ("x0", self.x0, self.n_x),
             ("state_box lo", self.state_lo, self.n_x),
@@ -137,29 +127,8 @@ class SystemModel:
             if len(row.coeff_x) != self.n_x or len(row.coeff_u) != self.n_u:
                 raise SynthesisError(f"mixed row {row.name!r} has wrong arity")
 
-    def mats(self, tau: int):
-        def pick(m):
-            if isinstance(m, np.ndarray):
-                return m
-            if tau >= len(m):
-                raise SynthesisError(f"system matrices do not cover step {tau}")
-            return m[tau]
-
-        return pick(self._a), pick(self._b), pick(self._c)
-
-    def step(self, tau: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        a, b, c = self.mats(tau)
-        return a @ np.asarray(x, dtype=float) + b @ np.asarray(u, dtype=float) + c
-
-    def simulate(self, us, x0=None, noise: Callable[[int, np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        us = np.atleast_2d(np.asarray(us, dtype=float))
-        xs = np.zeros((len(us) + 1, self.n_x))
-        xs[0] = self.x0 if x0 is None else np.asarray(x0, dtype=float)
-        for tau in range(len(us)):
-            xs[tau + 1] = self.step(tau, xs[tau], us[tau])
-            if noise is not None:
-                xs[tau + 1] = np.asarray(noise(tau, xs[tau + 1]), dtype=float)
-        return xs
+    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.a @ np.asarray(x, dtype=float) + self.b @ np.asarray(u, dtype=float) + self.c
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +140,16 @@ class TrackingTerm:
     tau: int
     dim: int
     target: float
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
 class CostSpec:
-    """zero: any feasible plan.  l1-tracking: weighted L1 deviation of chosen
-    state coordinates from targets.  input-l1: weighted L1 input magnitude.
+    """zero: any feasible plan.  l1-tracking: L1 deviation of chosen state
+    coordinates from targets.  input-l1: L1 input magnitude.
     max-robustness: maximize the quantitative root (quant mode only)."""
 
     kind: str = "zero"
     tracking: tuple[TrackingTerm, ...] = ()
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("zero", "l1-tracking", "input-l1", "max-robustness"):
@@ -298,8 +265,8 @@ def build_step_model(
         for tau in range(k, t_phi)
     }
 
+    a, b, c = sys.a, sys.b, sys.c
     for tau in range(k, t_phi):
-        a, b, c = sys.mats(tau)
         for d in range(sys.n_x):
             row = {x_vars[tau + 1][d]: 1.0}
             rhs = float(c[d])
@@ -358,14 +325,14 @@ def _apply_cost(sm: StepModel, cost: CostSpec, xs_obs: dict[int, np.ndarray]) ->
             if not 0 <= term.tau <= sm.t_phi or not 0 <= term.dim < sys.n_x:
                 raise SynthesisError(f"tracking term out of range: {term}")
             if term.tau <= sm.k:
-                obj_const += term.weight * abs(float(xs_obs[term.tau][term.dim]) - term.target)
+                obj_const += abs(float(xs_obs[term.tau][term.dim]) - term.target)
                 continue
             xv = sm.x_vars[term.tau][term.dim]
             span = max(abs(sys.state_lo[term.dim] - term.target), abs(sys.state_hi[term.dim] - term.target))
             t = model.add_continuous(f"dev{term.tau}_{term.dim}", 0.0, span)
             model.add_constraint({xv: 1.0, t: -1.0}, "<=", term.target, name=f"devp{term.tau}_{term.dim}")
             model.add_constraint({xv: -1.0, t: -1.0}, "<=", -term.target, name=f"devn{term.tau}_{term.dim}")
-            obj[t] = obj.get(t, 0.0) + term.weight
+            obj[t] = obj.get(t, 0.0) + 1.0
             sm.aux_defs.append((t, "absdev", (term.tau, term.dim, term.target)))
     elif cost.kind == "input-l1":
         for tau, vids in sm.u_vars.items():
@@ -374,7 +341,7 @@ def _apply_cost(sm: StepModel, cost: CostSpec, xs_obs: dict[int, np.ndarray]) ->
                 s = model.add_continuous(f"mag{tau}_{j}", 0.0, span)
                 model.add_constraint({uv: 1.0, s: -1.0}, "<=", 0.0, name=f"magp{tau}_{j}")
                 model.add_constraint({uv: -1.0, s: -1.0}, "<=", 0.0, name=f"magn{tau}_{j}")
-                obj[s] = cost.weight
+                obj[s] = 1.0
                 sm.aux_defs.append((s, "absu", (tau, j)))
     elif cost.kind == "max-robustness":
         if sm.ctx.mode != "quant":
@@ -454,7 +421,6 @@ def solve_step(
     sm: StepModel,
     hint_xs: np.ndarray | None = None,
     hint_us: dict[int, np.ndarray] | None = None,
-    node_limit: int | None = None,
 ) -> tuple[Solution, str]:
     """A plan for one step model and how it was found: "reuse", "dive" or
     "search".  The hinted plan (states and inputs) is reused if it passes
@@ -473,7 +439,7 @@ def solve_step(
         if sol.status == "optimal":
             return sol, "dive"
         dive_iters = sol.iterations
-    sol = _checked(sm, solve_bb(sm.model, node_limit=node_limit), "search")
+    sol = _checked(sm, solve_bb(sm.model), "search")
     sol.iterations += dive_iters
     return sol, "search"
 
@@ -512,7 +478,7 @@ def synthesize_open_loop(
     us = np.stack([us_map[tau] for tau in range(sm.t_phi)])
     recovered = None
     if sys.input_recover is not None:
-        recovered = np.stack([np.atleast_1d(sys.input_recover(tau, xs[tau], us[tau])) for tau in range(sm.t_phi)])
+        recovered = np.stack([np.atleast_1d(sys.input_recover(xs[tau], us[tau])) for tau in range(sm.t_phi)])
     return ControlResult(
         status="optimal", us=us, xs=xs, objective=sol.objective,
         root_value=_root_value(sm, sol), nodes=sol.nodes, iterations=sol.iterations,
@@ -533,8 +499,6 @@ def run_closed_loop(
     *,
     mode: str = "qual",
     cost: CostSpec = CostSpec(),
-    node_limit: int | None = None,
-    process_noise: Callable[[int, np.ndarray], np.ndarray] | None = None,
     hint_xs: np.ndarray | None = None,
     hint_us: dict[int, np.ndarray] | None = None,
     log_path: str | None = None,
@@ -544,14 +508,14 @@ def run_closed_loop(
 
     playback holds what each agent will actually do (revealed step by step;
     the result's ys keeps it through t_phi, whether the run completed or
-    aborted); predict(k) returns centers for every future (tau, agent); radius(k, tau,
-    agent) the matching ball radius.  process_noise perturbs the simulated
-    next state, for generation-style uses.  hint_xs/hint_us let step 0 start
-    from an externally solved plan exactly as later steps start from the
-    previous one.  A search that hits the node limit holding an incumbent
-    applies that checked plan, and its step keeps status "limit" with the
-    search's gap.  Aborts on the first step without a plan: a fallback
-    control would void the guarantee.
+    aborted); predict(k) returns centers for every future (tau, agent);
+    radius(k, tau, agent) the matching ball radius.  The plant is
+    deterministic: the next state is sys.step of the applied input.
+    hint_xs/hint_us let step 0 start from an externally solved plan exactly
+    as later steps start from the previous one.  A search that hits
+    milp.NODE_LIMIT holding an incumbent applies that checked plan, and its
+    step keeps status "limit" with the search's gap.  Aborts on the first
+    step without a plan: a fallback control would void the guarantee.
     """
     cs = compile_spec(to_pnf(spec))
     t_phi = cs.horizon
@@ -585,13 +549,13 @@ def run_closed_loop(
             hint_states[: k + 1] = xs[: k + 1]
         else:
             hint_states = None
-        sol, solved_by = solve_step(sm, hint_states, prev_us, node_limit)
+        sol, solved_by = solve_step(sm, hint_states, prev_us)
         applied = sol.x is not None
         if applied:
             plan_xs = sm.plan_states(sol.x)
             plan_us = sm.plan_inputs(sol.x)
             u_k = plan_us[k]
-            stepped = sys.step(k, xs[k], u_k)
+            stepped = sys.step(xs[k], u_k)
             miss = float(np.max(np.abs(plan_xs[k + 1] - stepped)))
             if miss > sm.model.feasibility_tol():  # the tolerance solve_step accepted its dyn rows within
                 raise MilpConsistencyError(
@@ -611,8 +575,6 @@ def run_closed_loop(
             break
         us[k] = u_k
         xs[k + 1] = stepped
-        if process_noise is not None:
-            xs[k + 1] = np.asarray(process_noise(k, xs[k + 1]), dtype=float)
         prev_xs, prev_us = plan_xs, plan_us
 
     satisfied, rho, recovered = False, None, None
@@ -621,7 +583,7 @@ def run_closed_loop(
         satisfied = eval_boolean(cs, traj, 0)
         rho = eval_robustness(cs, traj, 0)
         if sys.input_recover is not None:
-            recovered = np.stack([np.atleast_1d(sys.input_recover(k, xs[k], us[k])) for k in range(t_phi)])
+            recovered = np.stack([np.atleast_1d(sys.input_recover(xs[k], us[k])) for k in range(t_phi)])
     _flush_log(log_path, records)
     return ControlResult(
         status=status, us=us[:k_done], xs=xs[: k_done + 1],

@@ -21,8 +21,20 @@ from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT, MilpModel, Solution
 # brute-force STL semantics (dict-dispatch, no memoization, no shortcuts)
 
 
+def predicate_value(pred, x, ys):
+    """mu(s) = coeff_x . x + sum_i coeff_y[i] . y_i + offset, summed term by
+    term from the offset; a dimension either side lacks is skipped."""
+    acc = pred.offset
+    for c, v in zip(pred.coeff_x, x):
+        acc += c * v
+    for cy, y in zip(pred.coeff_y, ys):
+        for c, v in zip(cy, y):
+            acc += c * v
+    return acc
+
+
 def oracle_robustness(f, traj, k):
-    mu = lambda p, t: p.value(traj.xs[t], [y[t] for y in traj.ys])
+    mu = lambda p, t: predicate_value(p, traj.xs[t], [y[t] for y in traj.ys])
     if isinstance(f, stl.TrueNode):
         return math.inf
     if isinstance(f, stl.Pred):
@@ -52,7 +64,7 @@ def oracle_boolean(f, traj, k):
     if isinstance(f, stl.TrueNode):
         return True
     if isinstance(f, stl.Pred):
-        return f.predicate.value(traj.xs[k], [y[k] for y in traj.ys]) >= 0.0
+        return predicate_value(f.predicate, traj.xs[k], [y[k] for y in traj.ys]) >= 0.0
     if isinstance(f, stl.Not):
         return not oracle_boolean(f.child, traj, k)
     if isinstance(f, stl.And):
@@ -81,7 +93,7 @@ def oracle_split_margin(f, xs, now, tau):
     if isinstance(f, stl.TrueNode):
         return math.inf
     if isinstance(f, stl.Pred):
-        v = f.predicate.value(xs[tau], ())
+        v = predicate_value(f.predicate, xs[tau], ())
         if tau < now:
             return math.inf if v >= 0.0 else -math.inf
         return v
@@ -263,7 +275,48 @@ def kkt_certificate(pred, centers, radii) -> TighteningCertificate:
 
 
 # ---------------------------------------------------------------------------
+# plant simulators: the closed loop's applied plans and the temperature
+# reformulation are checked against these
+
+
+def simulate(sys, us, x0=None):
+    """Roll a SystemModel forward from x0 (default sys.x0) under inputs us."""
+    us = np.atleast_2d(np.asarray(us, dtype=float))
+    xs = np.zeros((len(us) + 1, sys.n_x))
+    xs[0] = sys.x0 if x0 is None else np.asarray(x0, dtype=float)
+    for tau in range(len(us)):
+        xs[tau + 1] = sys.step(xs[tau], us[tau])
+    return xs
+
+
+def temperature_step(sc, x, u):
+    """One step of the bilinear hall-temperature plant,
+    x + tau_s.(alpha_e.(T_e - x) + alpha_h.(T_h - x).u)."""
+    return x + sc.tau_s * (sc.alpha_e * (sc.t_outside - x) + sc.alpha_h * (sc.t_heater - x) * u)
+
+
+def simulate_temperature(sc, us, x0=None):
+    """Roll the bilinear plant directly; the oracle for the linear form."""
+    us = np.asarray(us, dtype=float).reshape(-1)
+    xs = np.empty(len(us) + 1)
+    xs[0] = sc.x0 if x0 is None else float(x0)
+    for k, u in enumerate(us):
+        xs[k + 1] = temperature_step(sc, xs[k], float(u))
+    return xs
+
+
+# ---------------------------------------------------------------------------
 # brute-force MILP reference
+
+
+def solve_lp(model: MilpModel) -> Solution:
+    """LP relaxation of a model (binaries relaxed to [0, 1]) through the LP
+    core: the bound every branch-and-bound optimum must respect."""
+    c, A, eq, b, lb, ub = model.arrays()
+    status, x, obj, iters = _solve_fixed(_Arrays(c, A, eq, b, lb, ub), {})
+    if status != "optimal":
+        return Solution(status, iterations=iters)
+    return Solution("optimal", x, obj + model.obj_const, iterations=iters)
 
 
 def brute_force_solve(model: MilpModel, max_binaries: int = 20) -> Solution:

@@ -20,6 +20,9 @@ from helpers import (
     oracle_robustness,
     random_formula,
     random_trajectory,
+    simulate_temperature,
+    solve_lp,
+    temperature_step,
     tightened_offset,
 )
 from test_milp import random_milp
@@ -34,9 +37,7 @@ from stlcp.casestudies.robot import (
 from stlcp.casestudies.temperature import (
     TemperatureScenario,
     gen_temperature_dataset,
-    simulate_temperature,
     temperature_reformulate,
-    temperature_step,
 )
 from stlcp.cli import main as cli_main
 from stlcp.conformal import (
@@ -47,7 +48,7 @@ from stlcp.conformal import (
     validate_coverage,
 )
 from stlcp.encoding import suggest_assignment
-from stlcp.milp import dive_solve, solve_bb, solve_lp
+from stlcp.milp import dive_solve, solve_bb
 from stlcp.prediction import fit_predictor
 from stlcp.synthesis import CostSpec, build_step_model, synthesize_open_loop
 
@@ -271,10 +272,10 @@ def test_c08_reformulation_exactness():
         x = np.array([sc.x0])
         for k, u in enumerate(us):
             w = np.array([(sc.t_heater - float(x[0])) * u])
-            x = sys.step(k, x, w)
+            x = sys.step(x, w)
             worst = max(worst, abs(float(x[0]) - xs_bilinear[k + 1]))
     hand_bilinear = temperature_step(sc, 5.0, 1.0)
-    hand_linear = float(sys.step(0, np.array([5.0]), np.array([50.0]))[0])
+    hand_linear = float(sys.step(np.array([5.0]), np.array([50.0]))[0])
     ok = worst <= 1e-9 and hand_bilinear == 13.0 and hand_linear == 13.0
     verdict(
         8,

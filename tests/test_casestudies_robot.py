@@ -69,10 +69,9 @@ class TestScenarioConstants:
 
     def test_system_model(self):
         sys = robot_system(SC)
-        a, b, c = sys.mats(0)
-        assert np.array_equal(a, SC.a_mat)
-        assert np.array_equal(b, SC.b_mat)
-        assert np.array_equal(c, np.zeros(4))
+        assert np.array_equal(sys.a, SC.a_mat)
+        assert np.array_equal(sys.b, SC.b_mat)
+        assert np.array_equal(sys.c, np.zeros(4))
         assert np.array_equal(sys.x0, [1, 0, 1, 0])
 
 

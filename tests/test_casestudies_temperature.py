@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import simulate_temperature, temperature_step
 from stlcp.casestudies import (
     TemperatureScenario,
     build_temperature_spec,
-    cooling_path,
     gen_temperature_dataset,
-    simulate_temperature,
     temperature_reformulate,
-    temperature_step,
 )
 from stlcp.stl import JointTrajectory, Not, eval_boolean, horizon
 
@@ -55,7 +53,7 @@ class TestPlant:
 
     def test_substitution_matches_bilinear_step(self):
         sys = temperature_reformulate(SC)
-        x1 = sys.step(0, np.array([5.0]), np.array([(SC.t_heater - 5.0) * 1.0]))
+        x1 = sys.step(np.array([5.0]), np.array([(SC.t_heater - 5.0) * 1.0]))
         assert float(x1[0]) == pytest.approx(13.0, abs=1e-12)
 
     def test_dual_simulation_agrees(self):
@@ -67,21 +65,21 @@ class TestPlant:
             us = rng.uniform(SC.u_lo, SC.u_hi, size=12)
             direct = simulate_temperature(SC, us)
             x = np.array([SC.x0])
-            for k, u in enumerate(us):
+            for u in us:
                 w = (SC.t_heater - x[-1]) * u
-                x = np.append(x, sys.step(k, x[-1:], np.array([w])))
+                x = np.append(x, sys.step(x[-1:], np.array([w])))
             assert np.max(np.abs(direct - x)) < 1e-9
 
     def test_input_recovery_inverts_substitution(self):
         sys = temperature_reformulate(SC)
         rng = np.random.default_rng(7)
         x = np.array([SC.x0])
-        for k in range(10):
+        for _ in range(10):
             u = rng.uniform(0.0, 1.0)
             w = np.array([(SC.t_heater - float(x[0])) * u])
-            back = sys.input_recover(k, x, w)
+            back = sys.input_recover(x, w)
             assert float(back[0]) == pytest.approx(u, abs=1e-12)
-            x = sys.step(k, x, w)
+            x = sys.step(x, w)
 
     def test_valve_row_encodes_w_limit(self):
         # w <= 55 - x written as x + w <= 55
@@ -94,18 +92,6 @@ class TestPlant:
 
 
 class TestRoomProcess:
-    def test_cooling_path_limits(self):
-        held = cooling_path(20.0, 25.0, 0.0, 5)
-        assert np.allclose(held, 20.0)
-        jumped = cooling_path(20.0, 25.0, 1.0, 5)
-        assert np.allclose(jumped[1:], 25.0)
-
-    def test_cooling_path_geometric_decay(self):
-        y0, pref, kappa = 28.0, 21.0, 0.2
-        path = cooling_path(y0, pref, kappa, 8)
-        for t, y in enumerate(path):
-            assert y - pref == pytest.approx((1 - kappa) ** t * (y0 - pref), abs=1e-12)
-
     def test_dataset_deterministic_in_seed(self):
         a = gen_temperature_dataset(24, seed=9)
         b = gen_temperature_dataset(24, seed=9)

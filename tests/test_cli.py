@@ -56,6 +56,13 @@ class TestConfig:
         assert run("gen-data", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_scenario_rejecting_an_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", scenario="temperature", overrides={"t_heater": 10.0})
+        out = tmp_path / "o"
+        assert run("gen-data", "--config", cfg, "--out", str(out)) == 2
+        assert "config error: heater temperature must exceed the state box" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             run("frobnicate")
@@ -141,6 +148,8 @@ class TestPipeline:
         lp = (out / "model.lp").read_text()
         assert lp.startswith("\\ step0")
         assert "Binaries" in lp
+        entries = json.loads((out / "manifest.json").read_text())["entries"]
+        assert entries["dataset.json"]["command"] == entries["dataset.csv"]["command"] == "synth-closed"
 
     def test_manifest_traces_every_artifact(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", **SMALL_TEMP, trials=200, n_cal=40, n_test=30)

@@ -13,6 +13,7 @@ from stlcp.conformal import (
     compute_normalizers,
     conformal_quantile,
     conformal_rank,
+    radii_for_delta,
     score_closed_loop,
     score_open_loop,
     trajectory_scores,
@@ -158,6 +159,17 @@ class TestCalibrate:
         sigma = compute_normalizers(trajs, ConstantVelocityPredictor(), 2)
         radii = calibrate(trajs, ConstantVelocityPredictor(), sigma, delta=0.2)
         assert radii.c_ol == 0.0 and radii.open_radius(1, 0) == 0.0
+
+    def test_requantile_at_the_same_delta_is_calibrate(self):
+        train = self.make(20, 0)
+        cal = self.make(30, 1)
+        pred = ZeroPredictor()
+        sigma = compute_normalizers(train, pred, t_phi=3)
+        radii = calibrate(cal, pred, sigma, delta=0.2)
+        assert radii_for_delta(radii, *trajectory_scores(cal, pred, sigma), radii.delta) == radii
+        looser = radii_for_delta(radii, *trajectory_scores(cal, pred, sigma), 0.4)
+        assert looser.sigma is sigma and (looser.n_cal, looser.rank) == (30, conformal_rank(30, 0.4))
+        assert looser.c_ol <= radii.c_ol and looser.c_cl <= radii.c_cl
 
     def test_insufficient_calibration_infinite(self):
         trajs = self.make(4, 2)

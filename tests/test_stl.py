@@ -24,7 +24,7 @@ from stlcp.stl import (
 )
 
 import helpers
-from helpers import atom, collect_predicates, is_pnf
+from helpers import atom, collect_predicates, is_pnf, predicate_value
 
 
 def atom1(cx, cy, off):
@@ -156,7 +156,7 @@ class TestPnf:
     def test_not_true_is_false_atom(self):
         f = to_pnf(Not(TrueNode()))
         assert isinstance(f, Pred)
-        assert f.predicate.value([0.0], [[0.0]]) < 0
+        assert predicate_value(f.predicate, [0.0], [[0.0]]) < 0
 
     def test_negated_until_keeps_horizon(self):
         f = Not(Until(1, 3, X_GE_0, Y_GE_0))
