@@ -10,7 +10,7 @@ baseline plan as a CSV for inspection.
 import argparse
 import os
 
-from stlcp.casestudies import RobotScenario, run_follower_experiment
+from stlcp.casestudies import run_follower_experiment
 from stlcp.synthesis import write_trajectory_csv
 
 
@@ -24,9 +24,7 @@ def main() -> int:
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    exp = run_follower_experiment(
-        n_runs=args.runs, seed=args.seed, scenario=RobotScenario(), sizes=tuple(args.sizes),
-    )
+    exp = run_follower_experiment(n_runs=args.runs, seed=args.seed, sizes=tuple(args.sizes))
     stats = exp.gen_stats
     print(f"leader generation: {stats.kept} kept, {stats.discarded} discarded, "
           f"{stats.dives} replan dives, {stats.searches} searches")

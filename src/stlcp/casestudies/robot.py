@@ -478,7 +478,6 @@ class FollowerExperiment:
 def run_follower_experiment(
     n_runs: int = 300,
     seed: int = 11,
-    scenario: RobotScenario = RobotScenario(),
     sizes: tuple[int, int, int] = (50, 100, 300),
 ) -> FollowerExperiment:
     """Generate leaders, calibrate regions, run the closed-loop follower on
@@ -491,7 +490,7 @@ def run_follower_experiment(
     until the leader actually leaves a prediction region.
     """
     t0 = time.monotonic()
-    sc = scenario
+    sc = RobotScenario()
     t_phi = sc.horizon
     ds, gen_stats = gen_robot_leader_dataset(sum(sizes), seed, scenario=sc, sizes=sizes, return_stats=True)
     train = ds.subset("train")

@@ -98,37 +98,32 @@ def compute_normalizers(train: Sequence[AgentTrajectory], predictor, t_phi: int)
 # scores
 
 
-def score_open_loop(traj: AgentTrajectory, table: PredictionTable, sigma: NormalizationTable) -> float:
-    """max over tau in 1..T, agents i of ||Y_tau,i - yhat_{tau|0,i}|| / sigma_{tau|0,i}."""
-    t_phi = sigma.t_phi
+def score(
+    traj: AgentTrajectory, table: PredictionTable, sigma: NormalizationTable, pairs: Sequence[tuple[int, int]]
+) -> float:
+    """max over (k, tau) in pairs, agents i of ||Y_tau,i - yhat_{tau|k,i}|| / sigma_{tau|k,i}."""
     best = 0.0
-    for tau in range(1, t_phi + 1):
+    for k, tau in pairs:
         for i in range(sigma.n_agents):
-            err = float(np.linalg.norm(traj.ys[i][tau] - table.get(0, tau, i)))
-            best = max(best, err / sigma.get(0, tau, i))
-    return best
-
-
-def score_closed_loop(traj: AgentTrajectory, table: PredictionTable, sigma: NormalizationTable) -> float:
-    """max over k in 0..T-1, agents i of the normalized one-step error."""
-    t_phi = sigma.t_phi
-    best = 0.0
-    for k in range(t_phi):
-        for i in range(sigma.n_agents):
-            err = float(np.linalg.norm(traj.ys[i][k + 1] - table.get(k, k + 1, i)))
-            best = max(best, err / sigma.get(k, k + 1, i))
+            err = float(np.linalg.norm(traj.ys[i][tau] - table.get(k, tau, i)))
+            best = max(best, err / sigma.get(k, tau, i))
     return best
 
 
 def trajectory_scores(
     trajs: Sequence[AgentTrajectory], predictor, sigma: NormalizationTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Open-loop and closed-loop scores for each trajectory."""
+    """Open-loop and closed-loop scores for each trajectory: the open loop
+    scores every prediction made at k = 0, the closed loop every one-step
+    prediction (k, k+1)."""
+    t_phi = sigma.t_phi
+    open_pairs = [(0, tau) for tau in range(1, t_phi + 1)]
+    closed_pairs = [(k, k + 1) for k in range(t_phi)]
     r_ol, r_cl = [], []
     for tr in trajs:
-        pt = prediction_table(predictor, tr, sigma.t_phi)
-        r_ol.append(score_open_loop(tr, pt, sigma))
-        r_cl.append(score_closed_loop(tr, pt, sigma))
+        pt = prediction_table(predictor, tr, t_phi)
+        r_ol.append(score(tr, pt, sigma, open_pairs))
+        r_cl.append(score(tr, pt, sigma, closed_pairs))
     return np.array(r_ol), np.array(r_cl)
 
 

@@ -31,7 +31,8 @@ class AgentTrajectory:
     prefix: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        ys = tuple(np.ascontiguousarray(y, dtype=float) for y in self.ys)
+        # copies, so freezing them leaves the caller's arrays writeable
+        ys = tuple(np.array(y, dtype=float, order="C") for y in self.ys)
         ys = tuple(y[:, None] if y.ndim == 1 else y for y in ys)
         T = ys[0].shape[0]
         if any(y.shape[0] != T for y in ys):
@@ -39,7 +40,7 @@ class AgentTrajectory:
         pre = self.prefix
         if not pre:
             pre = tuple(np.zeros((0, y.shape[1])) for y in ys)
-        pre = tuple(np.ascontiguousarray(p, dtype=float) for p in pre)
+        pre = tuple(np.array(p, dtype=float, order="C") for p in pre)
         pre = tuple(p[:, None] if p.ndim == 1 else p for p in pre)
         if len(pre) != len(ys):
             raise ValueError("prefix must cover every agent")
@@ -258,11 +259,11 @@ class FilePredictor:
         return out
 
 
-def fit_predictor(train: Sequence[AgentTrajectory], kind: str, order: int = 2):
+def fit_predictor(train: Sequence[AgentTrajectory], kind: str):
     """Fit a predictor on training trajectories.
 
-    kind: 'constant-velocity' (alias 'cv') or 'ar'.  A rank-deficient AR fit
-    falls back to constant velocity with a warning.
+    kind: 'constant-velocity' (alias 'cv') or 'ar', an AR(2) model.  A
+    rank-deficient AR fit falls back to constant velocity with a warning.
     """
     if kind in ("constant-velocity", "cv"):
         return ConstantVelocityPredictor()
@@ -270,7 +271,7 @@ def fit_predictor(train: Sequence[AgentTrajectory], kind: str, order: int = 2):
         raise ValueError(f"unknown predictor kind {kind!r}")
     if not train:
         raise ValueError("no training trajectories")
-    p = order
+    p = 2
     n_agents = train[0].n_agents
     dims = train[0].dims
     coeffs: list[list[np.ndarray]] = []

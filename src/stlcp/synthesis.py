@@ -144,15 +144,16 @@ class TrackingTerm:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """zero: any feasible plan.  l1-tracking: L1 deviation of chosen state
-    coordinates from targets.  input-l1: L1 input magnitude.
+    """Objective of one step model.  zero: any feasible plan, the only cost
+    the open and closed loops plan with.  l1-tracking: L1 deviation of
+    chosen state coordinates from targets (the robot leader).
     max-robustness: maximize the quantitative root (quant mode only)."""
 
     kind: str = "zero"
     tracking: tuple[TrackingTerm, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "l1-tracking", "input-l1", "max-robustness"):
+        if self.kind not in ("zero", "l1-tracking", "max-robustness"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if self.tracking and self.kind != "l1-tracking":
             raise ValueError("tracking terms only apply to the l1-tracking cost")
@@ -175,7 +176,6 @@ class StepModel:
     t_phi: int
     x_vars: dict[int, list[int]]
     u_vars: dict[int, list[int]]
-    aux_defs: list[tuple] = field(default_factory=list)
     insufficient: bool = False
 
     def plan_states(self, x_full: np.ndarray) -> np.ndarray:
@@ -192,7 +192,8 @@ class StepModel:
 
     def candidate_solution(self, xs: np.ndarray, us: dict[int, np.ndarray]) -> np.ndarray | None:
         """Full solution vector realizing a candidate plan, or None if the
-        plan does not pin down every variable."""
+        plan does not pin down every variable: a model with cost auxiliaries
+        (l1-tracking) is never reused."""
         vec = np.full(self.model.n_vars, np.nan)
         for tau, vids in self.x_vars.items():
             for d, v in enumerate(vids):
@@ -207,13 +208,6 @@ class StepModel:
             vec[v] = float(val)
         for v, val in extras.items():
             vec[v] = val
-        for vid, kind, data in self.aux_defs:
-            if kind == "absdev":
-                tau, d, target = data
-                vec[vid] = abs(xs[tau, d] - target)
-            else:  # absu
-                tau, j = data
-                vec[vid] = abs(us[tau][j])
         if np.isnan(vec).any():
             return None
         return vec
@@ -333,16 +327,6 @@ def _apply_cost(sm: StepModel, cost: CostSpec, xs_obs: dict[int, np.ndarray]) ->
             model.add_constraint({xv: 1.0, t: -1.0}, "<=", term.target, name=f"devp{term.tau}_{term.dim}")
             model.add_constraint({xv: -1.0, t: -1.0}, "<=", -term.target, name=f"devn{term.tau}_{term.dim}")
             obj[t] = obj.get(t, 0.0) + 1.0
-            sm.aux_defs.append((t, "absdev", (term.tau, term.dim, term.target)))
-    elif cost.kind == "input-l1":
-        for tau, vids in sm.u_vars.items():
-            for j, uv in enumerate(vids):
-                span = max(abs(sys.input_lo[j]), abs(sys.input_hi[j]))
-                s = model.add_continuous(f"mag{tau}_{j}", 0.0, span)
-                model.add_constraint({uv: 1.0, s: -1.0}, "<=", 0.0, name=f"magp{tau}_{j}")
-                model.add_constraint({uv: -1.0, s: -1.0}, "<=", 0.0, name=f"magn{tau}_{j}")
-                obj[s] = 1.0
-                sm.aux_defs.append((s, "absu", (tau, j)))
     elif cost.kind == "max-robustness":
         if sm.ctx.mode != "quant":
             raise SynthesisError("max-robustness cost needs quantitative mode")
@@ -368,7 +352,7 @@ class StepRecord:
     nodes: int
     iterations: int
     n_binaries: int
-    gap: float | None  # the search's optimality gap when a plan was applied
+    gap: float | None  # None without a plan; the zero-cost loops' plans all read 0.0
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
@@ -376,7 +360,9 @@ class StepRecord:
 
 @dataclass
 class ControlResult:
-    status: str  # optimal (every step applied a checked plan) | infeasible | limit | calibration-insufficient
+    # optimal (every step applied a checked plan) | infeasible | calibration-insufficient
+    # | limit (a search hit milp.NODE_LIMIT without a plan)
+    status: str
     us: np.ndarray | None = None
     xs: np.ndarray | None = None
     objective: float | None = None
@@ -462,14 +448,16 @@ def synthesize_open_loop(
     radius: Callable[[int, int], float],
     *,
     mode: str = "qual",
-    cost: CostSpec = CostSpec(),
     hint_xs: np.ndarray | None = None,
 ) -> ControlResult:
     """One plan at k = 0 covering the whole horizon, sound for every agent
     realization inside the open-loop prediction balls: step 0 of
-    solve_step, diving first on the assignment hint_xs suggests."""
+    solve_step on the zero cost, diving first on the assignment hint_xs
+    suggests.  Any feasible plan carries the guarantee, so none is
+    preferred; a search that hits milp.NODE_LIMIT has no plan and fails
+    with status "limit"."""
     ys_obs = {(0, i): np.asarray(y, dtype=float) for i, y in agents_now.items()}
-    sm = build_step_model(sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius, mode=mode, cost=cost)
+    sm = build_step_model(sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius, mode=mode)
     sol, _ = solve_step(sm, hint_xs)
     if sol.status != "optimal":
         return ControlResult(status=_failure_status(sm, sol), nodes=sol.nodes, iterations=sol.iterations)
@@ -498,7 +486,6 @@ def run_closed_loop(
     radius: Callable[[int, int, int], float],
     *,
     mode: str = "qual",
-    cost: CostSpec = CostSpec(),
     hint_xs: np.ndarray | None = None,
     hint_us: dict[int, np.ndarray] | None = None,
     log_path: str | None = None,
@@ -512,10 +499,11 @@ def run_closed_loop(
     radius(k, tau, agent) the matching ball radius.  The plant is
     deterministic: the next state is sys.step of the applied input.
     hint_xs/hint_us let step 0 start from an externally solved plan exactly
-    as later steps start from the previous one.  A search that hits
-    milp.NODE_LIMIT holding an incumbent applies that checked plan, and its
-    step keeps status "limit" with the search's gap.  Aborts on the first
-    step without a plan: a fallback control would void the guarantee.
+    as later steps start from the previous one.  Every step plans with the
+    zero cost: any feasible plan carries the guarantee, and the search stops
+    at its first one.  A search that hits milp.NODE_LIMIT therefore has no
+    plan.  Aborts on the first step without a plan: a fallback control
+    would void the guarantee.
     """
     cs = compile_spec(to_pnf(spec))
     t_phi = cs.horizon
@@ -542,7 +530,7 @@ def run_closed_loop(
         preds = predict(k)
         sm = build_step_model(
             sys, cs, k, {tau: xs[tau] for tau in range(k + 1)}, dict(ys_obs), preds,
-            lambda tau, i, _k=k: radius(_k, tau, i), mode=mode, cost=cost,
+            lambda tau, i, _k=k: radius(_k, tau, i), mode=mode,
         )
         if prev_xs is not None:
             hint_states = np.asarray(prev_xs, dtype=float).copy()

@@ -14,8 +14,7 @@ from stlcp.conformal import (
     conformal_quantile,
     conformal_rank,
     radii_for_delta,
-    score_closed_loop,
-    score_open_loop,
+    score,
     trajectory_scores,
     validate_coverage,
 )
@@ -114,24 +113,30 @@ class TestNormalizers:
         assert sigma.get(0, 1, 0) == SIGMA_MIN
 
 
+OPEN_PAIRS_2 = [(0, 1), (0, 2)]  # {0} x 1..T at T = 2
+CLOSED_PAIRS_2 = [(0, 1), (1, 2)]  # (k, k+1)
+
+
 class TestScores:
     def test_open_loop_max(self):
         sigma = NormalizationTable(2, 1, {(0, 1, 0): 1.0, (0, 2, 0): 2.0, (1, 2, 0): 1.0})
         tr = mono([0.0, 1.0, 3.0])
         pt = prediction_table(ZeroPredictor(), tr, 2)
-        assert score_open_loop(tr, pt, sigma) == max(1.0 / 1.0, 3.0 / 2.0)
+        assert score(tr, pt, sigma, OPEN_PAIRS_2) == max(1.0 / 1.0, 3.0 / 2.0)
+        assert trajectory_scores([tr], ZeroPredictor(), sigma)[0].tolist() == [1.5]
 
     def test_closed_loop_uses_one_step(self):
         sigma = NormalizationTable(2, 1, {(0, 1, 0): 1.0, (0, 2, 0): 100.0, (1, 2, 0): 1.0})
         tr = mono([0.0, 1.0, 3.0])
         pt = prediction_table(ZeroPredictor(), tr, 2)
-        assert score_closed_loop(tr, pt, sigma) == 3.0
+        assert score(tr, pt, sigma, CLOSED_PAIRS_2) == 3.0
+        assert trajectory_scores([tr], ZeroPredictor(), sigma)[1].tolist() == [3.0]
 
     def test_perfect_prediction_zero_score(self):
         tr = AgentTrajectory((np.array([1.0, 2.0, 3.0]),), (np.array([[0.0]]),))
         pt = prediction_table(ConstantVelocityPredictor(), tr, 2)
         sigma = compute_normalizers([tr], ConstantVelocityPredictor(), 2)
-        assert score_open_loop(tr, pt, sigma) == 0.0
+        assert score(tr, pt, sigma, OPEN_PAIRS_2) == 0.0
 
 
 class TestCalibrate:
@@ -186,7 +191,7 @@ class TestCalibrate:
             tr = mono(np.cumsum(rng.normal(0, 1, 4)))
             pt = prediction_table(ZeroPredictor(), tr, 3)
             c = float(rng.uniform(0.1, 3.0))
-            lhs = score_open_loop(tr, pt, sigma) <= c
+            lhs = score(tr, pt, sigma, [(0, tau) for tau in range(1, 4)]) <= c
             rhs = all(
                 abs(tr.ys[0][tau, 0] - pt.get(0, tau, 0)[0]) <= c * sigma.get(0, tau, 0)
                 for tau in range(1, 4)

@@ -23,6 +23,15 @@ def mono_traj(values, prefix=()):
     return AgentTrajectory((np.array(values, float),), (np.array(prefix, float).reshape(-1, 1),) if len(prefix) else ())
 
 
+class TestAgentTrajectory:
+    def test_construction_leaves_the_callers_arrays_writeable(self):
+        y, p = np.zeros((3, 2)), np.ones((1, 2))
+        tr = AgentTrajectory((y,), prefix=(p,))
+        y[0, 0], p[0, 0] = 5.0, 7.0  # the caller's arrays stay its own
+        assert tr.ys[0][0, 0] == 0.0 and tr.prefix[0][0, 0] == 1.0
+        assert not tr.ys[0].flags.writeable and not tr.prefix[0].flags.writeable
+
+
 class TestSplit:
     def test_sizes_and_disjointness(self):
         raw = [mono_traj([float(i)] * 3) for i in range(20)]
@@ -64,17 +73,21 @@ class TestConstantVelocity:
 
 class TestAr:
     def test_exact_recovery(self):
-        # y_{t+1} = 2 y_t is ar(1) with coefficient 2; fit must recover it
-        raw = [
-            AgentTrajectory((np.array([v * 2.0**t for t in range(6)]),))
-            for v in (1.0, -1.5, 0.7, 2.0)
-        ]
-        pred = fit_predictor(raw, "ar", order=1)
-        assert isinstance(pred, ArPredictor)
-        assert abs(pred.coeffs[0][0][0] - 2.0) <= 1e-9
-        assert abs(pred.coeffs[0][0][1]) <= 1e-8
+        # y_{t+1} = 0.5 y_t + 0.25 y_{t-1} is ar(2); the fit must recover it
+        def series(y0, y1):
+            ys = [y0, y1]
+            while len(ys) < 8:
+                ys.append(0.5 * ys[-1] + 0.25 * ys[-2])
+            return np.array(ys)
+
+        raw = [AgentTrajectory((series(*v),)) for v in ((1.0, -1.0), (2.0, 0.5), (-1.5, 0.7), (0.3, 2.0))]
+        pred = fit_predictor(raw, "ar")
+        assert isinstance(pred, ArPredictor) and pred.order == 2
+        assert abs(pred.coeffs[0][0][0] - 0.5) <= 1e-9
+        assert abs(pred.coeffs[0][0][1] - 0.25) <= 1e-9
+        assert abs(pred.coeffs[0][0][2]) <= 1e-8
         rows = pred.predict([np.array([[1.0], [2.0]])], 0, 3)[0]
-        assert np.allclose(rows[:, 0], [4.0, 8.0, 16.0], atol=1e-8)
+        assert np.allclose(rows[:, 0], [1.25, 1.125, 0.875], atol=1e-8)
 
     def test_insufficient_history_raises(self):
         pred = ArPredictor(3, [[np.array([0.0, 0.0, 0.0, 0.0])]])
@@ -85,7 +98,7 @@ class TestAr:
         # constant series: column of ones collinear with lag columns
         raw = [AgentTrajectory((np.full(6, 3.0),)) for _ in range(3)]
         with pytest.warns(UserWarning, match="constant velocity"):
-            pred = fit_predictor(raw, "ar", order=2)
+            pred = fit_predictor(raw, "ar")
         assert isinstance(pred, ConstantVelocityPredictor)
 
     def test_prefix_supplies_history_at_k0(self):

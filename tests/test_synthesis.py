@@ -118,16 +118,19 @@ class TestOpenLoop:
         sys = integrator()
         spec = stl.Always(1, 3, atom([1.0], [(-1.0,)], 0.0))
         centers = {(t, 0): np.array([0.1 * t]) for t in range(1, 4)}
-        res = synthesize_open_loop(
-            sys, spec, {0: np.array([0.0])}, centers, lambda tau, i: 0.0,
+        sm = build_step_model(
+            sys, spec, 0, {0: sys.x0}, {(0, 0): np.array([0.0])}, centers, lambda tau, i: 0.0,
             mode="quant", cost=CostSpec(kind="max-robustness"),
         )
-        assert res.status == "optimal"
+        sol, _ = synthesis.solve_step(sm)
+        assert sol.status == "optimal"
         ys = (np.array([[0.0]] + [[0.1 * t] for t in range(1, 4)]),)
-        rho = oracle_robustness(stl.to_pnf(spec), stl.JointTrajectory(res.xs, ys), 0)
-        assert res.root_value == pytest.approx(rho, abs=1e-9)
+        rho = oracle_robustness(stl.to_pnf(spec), stl.JointTrajectory(sm.plan_states(sol.x), ys), 0)
+        root_value = synthesis._root_value(sm, sol)
+        assert root_value == pytest.approx(rho, abs=1e-9)
         # |u| <= 1 binds: x1 <= 1, so max-min robustness is x1 - y1 = 0.9
-        assert res.root_value == pytest.approx(0.9, abs=1e-6)
+        assert root_value == pytest.approx(0.9, abs=1e-6)
+        assert -sol.objective == pytest.approx(0.9, abs=1e-6)
 
     def test_infinite_radius_reported_as_calibration_insufficient(self):
         sys = integrator()
@@ -173,38 +176,29 @@ class TestOpenLoop:
 
 
 class TestCosts:
-    def test_input_l1_picks_minimal_action(self):
-        sys = integrator()
-        spec = stl.Always(1, 1, atom([1.0], [(-1.0,)], 0.0))
-        res = synthesize_open_loop(
-            sys, spec, {0: np.array([0.0])}, {(1, 0): np.array([0.5])}, lambda tau, i: 0.2,
-            cost=CostSpec(kind="input-l1"),
-        )
-        assert res.status == "optimal"
-        assert res.us[0, 0] == pytest.approx(0.7, abs=1e-5)
-        assert res.objective == pytest.approx(0.7, abs=1e-5)
-
     def test_l1_tracking_hits_target(self):
         sys = integrator()
         spec = stl.Always(1, 1, atom([1.0], [(-1.0,)], 0.0))
-        res = synthesize_open_loop(
-            sys, spec, {0: np.array([0.0])}, {(1, 0): np.array([0.5])}, lambda tau, i: 0.2,
+        sm = build_step_model(
+            sys, spec, 0, {0: sys.x0}, {(0, 0): np.array([0.0])}, {(1, 0): np.array([0.5])}, lambda tau, i: 0.2,
             cost=CostSpec(kind="l1-tracking", tracking=(TrackingTerm(tau=1, dim=0, target=0.9),)),
         )
-        assert res.status == "optimal"
-        assert res.us[0, 0] == pytest.approx(0.9, abs=1e-7)
-        assert res.objective == pytest.approx(0.0, abs=1e-7)
+        sol, _ = synthesis.solve_step(sm)
+        assert sol.status == "optimal"
+        assert sm.plan_inputs(sol.x)[0][0] == pytest.approx(0.9, abs=1e-7)
+        assert sol.objective == pytest.approx(0.0, abs=1e-7)
 
     def test_cost_validation(self):
-        with pytest.raises(ValueError, match="unknown cost kind"):
-            CostSpec(kind="quadratic")
+        for kind in ("quadratic", "input-l1"):
+            with pytest.raises(ValueError, match="unknown cost kind"):
+                CostSpec(kind=kind)
         with pytest.raises(ValueError, match="tracking terms"):
-            CostSpec(kind="input-l1", tracking=(TrackingTerm(1, 0, 0.0),))
+            CostSpec(kind="zero", tracking=(TrackingTerm(1, 0, 0.0),))
         sys = integrator()
         spec = stl.Always(1, 1, atom([1.0], [], 0.0))
         with pytest.raises(SynthesisError, match="quantitative mode"):
-            synthesize_open_loop(sys, spec, {}, {}, lambda tau, i: 0.0,
-                                 cost=CostSpec(kind="max-robustness"))
+            build_step_model(sys, spec, 0, {0: sys.x0}, {}, {}, lambda tau, i: 0.0,
+                             cost=CostSpec(kind="max-robustness"))
 
 
 class TestClosedLoop:
@@ -361,33 +355,29 @@ class TestClosedLoop:
                 assert statuses[1] != "optimal" and statuses[2] != "optimal"
         assert found >= 5
 
-    def test_node_limited_search_applies_its_dive_incumbent(self, monkeypatch):
-        # the k = 0 relaxation costs 0 on fractional binaries, so a two-node
-        # search stops at the limit holding the plan its plunge found
+    def test_node_limited_step_without_a_plan_aborts(self, monkeypatch):
+        # the zero-cost search stops at its first incumbent, so a search cut
+        # by the node limit holds none: a one-node search ends at the root
+        # without a plan and the run aborts
         sys = integrator(xlo=-3.0, xhi=3.0)
         spec = stl.Always(2, 3, stl.Or((atom([1.0], [(-1.0,)], -1.0), atom([-1.0], [(1.0,)], -1.0))))
         y = np.zeros((4, 1))
 
-        def run(node_limit):
-            monkeypatch.setattr(milp, "NODE_LIMIT", node_limit)
+        def run():
             return run_closed_loop(
                 sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)}, lambda k, tau, i: 0.0,
-                cost=CostSpec("input-l1"),
             )
 
-        full = run(milp.NODE_LIMIT)
-        capped = run(2)
-        first = capped.records[0]
-        assert (first.status, first.solved_by, first.u) == ("limit", "search", [1.0])
-        assert first.gap > 0.5
-        assert first.objective == pytest.approx(full.records[0].objective, abs=1e-9)
-        assert (full.records[0].status, full.records[0].gap) == ("optimal", 0.0)
-        assert capped.status == "optimal" and capped.satisfied is True
-        assert np.allclose(simulate(sys, capped.us), capped.xs, atol=1e-9)
-        # a one-node search ends at the root without a plan: abort
-        aborted = run(1)
+        full = run()
+        assert full.status == "optimal" and full.satisfied is True
+        assert [(r.objective, r.gap) for r in full.records] == [(0.0, 0.0)] * 3
+        monkeypatch.setattr(milp, "NODE_LIMIT", 1)
+        aborted = run()
         assert aborted.status == "limit" and len(aborted.records) == 1
-        assert aborted.records[0].u is None and aborted.records[0].gap is None
+        first = aborted.records[0]
+        assert (first.status, first.solved_by) == ("limit", "search")
+        assert first.u is None and first.gap is None and first.objective is None
+        assert aborted.us.shape == (0, 1) and aborted.xs.tolist() == [[0.0]]
 
     def test_failed_dive_is_solved_once(self, monkeypatch):
         # x2 = 1 misses the strict atom, so the step-0 dive fails and the
@@ -404,7 +394,7 @@ class TestClosedLoop:
             return {(t, 0): y[t] for t in range(k + 1, 4)}
 
         res = run_closed_loop(
-            sys, spec, (y,), predict, lambda k, tau, i: 0.0, cost=CostSpec("input-l1"),
+            sys, spec, (y,), predict, lambda k, tau, i: 0.0,
             hint_xs=np.array([[0.0], [1.0], [1.0], [1.0]]),
             hint_us={0: np.array([1.0]), 1: np.array([0.0]), 2: np.array([0.0])},
         )
@@ -414,14 +404,15 @@ class TestClosedLoop:
             assert all(a != b for i, a in enumerate(fixings) for b in fixings[:i]), f"step {k}"
 
     @pytest.mark.parametrize("bound", [0.5, 5.0])  # x1 >= 0.5 is reachable, x1 >= 5 is not
-    @pytest.mark.parametrize("cost", ["zero", "input-l1"])
+    @pytest.mark.parametrize("cost", ["zero", "l1-tracking"])
     def test_model_without_binaries_is_solved_once(self, monkeypatch, bound, cost):
         solved = []
         real = milp._solve_fixed
         monkeypatch.setattr(milp, "_solve_fixed", lambda arr, fixed: solved.append(dict(fixed)) or real(arr, fixed))
         sys = integrator()
+        tracking = (TrackingTerm(1, 0, 0.0),) if cost == "l1-tracking" else ()
         sm = build_step_model(sys, stl.Always(1, 1, atom([1.0], [], -bound)), 0, {0: sys.x0}, {}, {},
-                              lambda tau, i: 0.0, cost=CostSpec(cost))
+                              lambda tau, i: 0.0, cost=CostSpec(cost, tracking))
         assert sm.model.binary_ids() == []
         sol, solved_by = synthesis.solve_step(sm, np.array([[0.0], [1.0]]))  # hinted, but nothing to dive on
         assert (sol.status, solved_by) == ("optimal" if bound < 1.0 else "infeasible", "search")
@@ -524,6 +515,29 @@ class TestPlanCheck:
         with pytest.raises(MilpConsistencyError, match=rf"{source} plan at step 0 violates row dyn"):
             run_closed_loop(sys, spec, (y,), lambda k: {(t, 0): y[t] for t in range(k + 1, 4)},
                             lambda k, tau, i: 0.1, hint_xs=hint_xs)
+
+    def test_node_limited_search_returns_its_checked_incumbent(self, monkeypatch):
+        # tracking x = 0 at tau = 2, 3 against |x - y| >= 1 there: the
+        # relaxation costs 0 on fractional binaries, so a three-node search
+        # stops at the limit holding a plan its plunge found
+        sys = integrator(xlo=-3.0, xhi=3.0)
+        spec = stl.Always(2, 3, stl.Or((atom([1.0], [(-1.0,)], -1.0), atom([-1.0], [(1.0,)], -1.0))))
+        cost = CostSpec("l1-tracking", (TrackingTerm(2, 0, 0.0), TrackingTerm(3, 0, 0.0)))
+
+        def solve():
+            sm = build_step_model(sys, spec, 0, {0: sys.x0}, {(0, 0): np.zeros(1)},
+                                  {(t, 0): np.zeros(1) for t in range(1, 4)}, lambda tau, i: 0.0, cost=cost)
+            return sm, synthesis.solve_step(sm)
+
+        _, (full, _) = solve()
+        monkeypatch.setattr(milp, "NODE_LIMIT", 3)
+        sm, (capped, solved_by) = solve()
+        assert (capped.status, solved_by, capped.nodes) == ("limit", "search", 3)
+        assert not sm.model.check_solution(capped.x, sm.model.feasibility_tol())
+        # |x2| = |x3| = 1 + EPS is optimal; the unsolved sibling bounds 0
+        assert (full.status, full.gap, full.objective) == ("optimal", 0.0, pytest.approx(2.0, abs=1e-5))
+        assert capped.objective == pytest.approx(full.objective, abs=1e-9)
+        assert capped.gap == pytest.approx(2.0, abs=1e-5)
 
     def test_perturbed_open_loop_plan_raises(self, monkeypatch):
         real = synthesis.solve_bb
