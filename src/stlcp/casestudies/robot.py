@@ -286,10 +286,10 @@ def _solve_leader_nominal(sys: SystemModel, spec: CompiledSpec, sc: RobotScenari
         sys, spec, 0, {0: sys.x0}, {}, {}, _zero_radius,
         cost=CostSpec("l1-tracking", tracking=_tracking_terms(hint, 1, sc.horizon)),
     )
-    sol, _ = solve_step(sm, hint)
-    if sol.status != "optimal":
-        raise RuntimeError(f"leader nominal plan is {sol.status}")
-    return sm.plan_states(sol.x), sm.plan_inputs(sol.x)
+    plan, _ = solve_step(sm, hint)
+    if plan.status != "optimal":
+        raise RuntimeError(f"leader nominal plan is {plan.status}")
+    return plan.xs, plan.us
 
 
 def _feedback_replay(
@@ -373,12 +373,12 @@ def _rollout_leader(
                 sys, spec, k, {tau: xs[tau] for tau in range(k + 1)}, {}, {}, _zero_radius,
                 cost=CostSpec("l1-tracking", tracking=_tracking_terms(nominal_xs, k + 1, t_phi)),
             )
-            sol, solved_by = solve_step(sm, cand_xs)
+            plan, solved_by = solve_step(sm, cand_xs)
             stats.dives += 1
             stats.searches += solved_by == "search"
-            if sol.status != "optimal":
+            if plan.status != "optimal":
                 return None
-            ref_xs, ref_us = sm.plan_states(sol.x), sm.plan_inputs(sol.x)
+            ref_xs, ref_us = plan.xs, plan.us
         nxt = sys.step(xs[k], ref_us[k])
         nxt[_PX] += rng.uniform(-sc.disturbance, sc.disturbance)
         nxt[_PY] += rng.uniform(-sc.disturbance, sc.disturbance)

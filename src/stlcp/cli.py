@@ -115,22 +115,18 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             errs.append(f"sizes: need exactly (train, cal, test), got {len(cfg.sizes)} entries")
         else:
             for i, s in enumerate(cfg.sizes):
-                if int(s) != s or s <= 0:
-                    errs.append(f"sizes[{i}]: must be a positive integer, got {s}")
+                if isinstance(s, bool) or not isinstance(s, int) or s <= 0:  # 20.0 is rejected too
+                    errs.append(f"sizes[{i}]: must be a positive integer, got {s!r}")
     if cfg.predictor is not None and cfg.predictor not in _PREDICTORS:
         errs.append(f"predictor: unknown kind {cfg.predictor!r}, expected one of {_PREDICTORS}")
     if cfg.mode not in ("qual", "quant"):
         errs.append(f"mode: must be 'qual' or 'quant', got {cfg.mode!r}")
     if cfg.loop not in ("open", "closed"):
         errs.append(f"loop: must be 'open' or 'closed', got {cfg.loop!r}")
-    if cfg.trials <= 0:
-        errs.append(f"trials: must be positive, got {cfg.trials}")
-    if cfg.n_cal <= 0:
-        errs.append(f"n_cal: must be positive, got {cfg.n_cal}")
-    if cfg.n_test <= 0:
-        errs.append(f"n_test: must be positive, got {cfg.n_test}")
-    if cfg.test_index < 0:
-        errs.append(f"test_index: must be >= 0, got {cfg.test_index}")
+    for name, least in (("seed", 0), ("trials", 1), ("n_cal", 1), ("n_test", 1), ("test_index", 0)):
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            errs.append(f"{name}: must be an integer >= {least}, got {v!r}")
     for name in ("dataset", "predictions"):
         path = getattr(cfg, name)
         if path is not None and not os.path.exists(path):
@@ -414,7 +410,7 @@ def _synth_common(cfg: ExperimentConfig, command: str):
     tr = test[cfg.test_index]
     sys_model, spec, hint = _system_and_spec(cfg, sc)
     pt = prediction_table(predictor, tr, t_phi)
-    return sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt
+    return ds_path, t_phi, radii, tr, sys_model, spec, hint, pt
 
 
 def _overlay_rows(t_phi: int, tr, pt, radius_fn) -> tuple[list[str], list[tuple]]:
@@ -437,7 +433,7 @@ def _overlay_rows(t_phi: int, tr, pt, radius_fn) -> tuple[list[str], list[tuple]
     return header, rows
 
 
-def _export_step_lp(cfg, sys_model, spec, tr, pt, radii, t_phi: int) -> str:
+def _export_step_lp(cfg, sys_model, spec, tr, pt, radii) -> str:
     ys_obs = {(0, i): tr.ys[i][0] for i in range(tr.n_agents)}
     sm = build_step_model(
         sys_model, spec, 0, {0: sys_model.x0}, ys_obs, pt.row(0),
@@ -450,7 +446,7 @@ def _export_step_lp(cfg, sys_model, spec, tr, pt, radii, t_phi: int) -> str:
 
 
 def cmd_synth_open(cfg: ExperimentConfig) -> int:
-    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-open")
+    ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-open")
     agents_now = {i: tr.ys[i][0] for i in range(tr.n_agents)}
     res = synthesize_open_loop(
         sys_model, spec, agents_now, pt.row(0),
@@ -485,7 +481,7 @@ def cmd_synth_open(cfg: ExperimentConfig) -> int:
         fh.write("\n")
     paths.append(res_path)
     if cfg.export_lp:
-        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii, t_phi))
+        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii))
     record_artifacts(cfg, "synth-open", paths, inputs={"dataset": _sha256_file(ds_path)})
     print(f"synth-open {cfg.scenario}[{cfg.test_index}]: {res.status}"
           + (f", satisfied={doc.get('satisfied')}" if res.feasible else ""))
@@ -493,7 +489,7 @@ def cmd_synth_open(cfg: ExperimentConfig) -> int:
 
 
 def cmd_synth_closed(cfg: ExperimentConfig) -> int:
-    sc, ds, ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-closed")
+    ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-closed")
     log_path = _out(cfg, "steps.jsonl")
     res = run_closed_loop(
         sys_model, spec, tr.ys, lambda k: pt.row(k),
@@ -528,7 +524,7 @@ def cmd_synth_closed(cfg: ExperimentConfig) -> int:
         fh.write("\n")
     paths.append(res_path)
     if cfg.export_lp:
-        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii, t_phi))
+        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii))
     record_artifacts(cfg, "synth-closed", paths, inputs={"dataset": _sha256_file(ds_path)})
     print(f"synth-closed {cfg.scenario}[{cfg.test_index}]: {res.status}, satisfied={res.satisfied}")
     return 0 if res.feasible else 1

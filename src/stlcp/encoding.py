@@ -418,23 +418,16 @@ def require(ctx: EncodingContext, enc: Encoding) -> int | None:
         row[v] = row.get(v, 0.0) - c
     ctx.model.add_constraint(row, "=", e.const, name="root_value")
     ctx.model.vars[rbar].lb = EPS_ROBUST
-    enc.registry.append(("root", rbar, e))
     return rbar
 
 
 def suggest_assignment(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> dict[int, int]:
     """Candidate 0/1 assignment of every encoding binary, read off a candidate
-    state trajectory (rows 0..t_phi).  Atoms use the same tightened values the
-    rows enforce, so a feasible trajectory yields a feasible dive."""
-    return candidate_values(ctx, enc, xs)[0]
-
-
-def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tuple[dict[int, int], dict[int, float]]:
-    """suggest_assignment plus the values the encoding's own continuous
-    variables (gates, root) take at that trajectory: each gate's exact
-    min/max, with its argmax selected in a max gate, which the one-sided gate
-    rows admit.  So a caller can assemble a complete solution vector without
-    re-solving."""
+    state trajectory (rows 0..t_phi).  An indicator is 1 where the atoms'
+    held/failed signs (_AtomTable.holds) fold its node true; a max gate
+    selects its argmax operand, evaluating nested gates at their exact
+    min/max on the way.  Atoms use the same tightened values the rows
+    enforce, so a feasible trajectory yields a feasible dive."""
     xs = np.asarray(xs, dtype=float)
     vals: dict[int, float] = {}
     for tau, vids in ctx.state_vars.items():
@@ -442,20 +435,15 @@ def candidate_values(ctx: EncodingContext, enc: Encoding, xs: np.ndarray) -> tup
             vals[vid] = float(xs[tau, d])
     plan = enc.atoms.fold(np.where(enc.atoms.holds(xs), 1.0, -1.0))
     out: dict[int, int] = {}
-    extras: dict[int, float] = {}
     for entry in enc.registry:
         if entry[0] == "ind":
             _, z, nid, tau = entry
             out[z] = 1 if plan[nid, tau] > 0.0 else 0
-        elif entry[0] == "root":
-            _, rbar, e = entry
-            extras[rbar] = vals[rbar] = e.value(vals)
         else:
             _, op, rbar, sels, exprs = entry
             scores = [e.value(vals) for e in exprs]
             best = min(range(len(scores)), key=lambda i: (scores[i] if op == "min" else -scores[i], i))
             for i, p in enumerate(sels):
                 out[p] = 1 if i == best else 0
-            extras[rbar] = vals[rbar] = scores[best]
-    return out, extras
-
+            vals[rbar] = scores[best]
+    return out

@@ -165,9 +165,6 @@ class MilpModel:
         scaled by one plus the largest |rhs|, as its phase 1 does."""
         return _row_tol([r.rhs for r in self.rows])
 
-    def objective_value(self, x: Sequence[float]) -> float:
-        return float(sum(c * x[v] for v, c in self.obj.items()) + self.obj_const)
-
 
 # ---------------------------------------------------------------------------
 # LP core

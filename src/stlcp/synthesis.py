@@ -8,11 +8,14 @@ agents actually did so far.
 
 solve_step is the one place a plan is found.  It tries three things in
 order, cheapest first: reuse the hinted plan verbatim if it still satisfies
-the step model (always true in the closed loop when predictions did not
-move), dive on the binary assignment the hinted states suggest, and only
-then run branch and bound.  A step with no feasible plan aborts the run;
-there is no fallback controller, because any fallback would void the
-coverage argument behind the regions.
+the step (always true in the closed loop when predictions did not move),
+dive on the binary assignment the hinted states suggest, and only then run
+branch and bound.  Reuse is decided on the plan itself, without a solution
+vector: the plant's rows and boxes by array arithmetic, and the spec by
+folding the step's tightened atom table over the planned states, as an
+online monitor folds an observed prefix.  A step with no feasible plan
+aborts the run; there is no fallback controller, because any fallback would
+void the coverage argument behind the regions.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import (
-    EncodingContext,
-    candidate_values,
-    encode,
-    require,
-    suggest_assignment,
-)
+from .encoding import EPS_ROBUST, EncodingContext, encode, require, suggest_assignment
 from .milp import MilpModel, Solution, dive_solve, solve_bb
 from .stl import CompiledSpec, JointTrajectory, compile_spec, eval_boolean, eval_robustness, to_pnf
 
@@ -189,28 +186,6 @@ class StepModel:
 
     def plan_inputs(self, x_full: np.ndarray) -> dict[int, np.ndarray]:
         return {tau: np.array([x_full[v] for v in vids]) for tau, vids in self.u_vars.items()}
-
-    def candidate_solution(self, xs: np.ndarray, us: dict[int, np.ndarray]) -> np.ndarray | None:
-        """Full solution vector realizing a candidate plan, or None if the
-        plan does not pin down every variable: a model with cost auxiliaries
-        (l1-tracking) is never reused."""
-        vec = np.full(self.model.n_vars, np.nan)
-        for tau, vids in self.x_vars.items():
-            for d, v in enumerate(vids):
-                vec[v] = xs[tau, d]
-        for tau, vids in self.u_vars.items():
-            if tau not in us:
-                return None
-            for j, v in enumerate(vids):
-                vec[v] = us[tau][j]
-        assign, extras = candidate_values(self.ctx, self.enc, xs)
-        for v, val in assign.items():
-            vec[v] = float(val)
-        for v, val in extras.items():
-            vec[v] = val
-        if np.isnan(vec).any():
-            return None
-        return vec
 
 
 def build_step_model(
@@ -380,60 +355,110 @@ class ControlResult:
         return self.status == "optimal"
 
 
-def _root_value(sm: StepModel, sol: Solution) -> float:
+@dataclass
+class StepPlan:
+    """What solve_step found for one step: its status, the plan (states at
+    rows 0..t_phi, the observed prefix included, and inputs for tau =
+    k..t_phi-1; both None without a plan) and the solver's counters."""
+
+    status: str
+    xs: np.ndarray | None = None
+    us: dict[int, np.ndarray] | None = None
+    objective: float | None = None
+    iterations: int = 0
+    nodes: int = 0
+    gap: float = 0.0
+
+
+def _root_value(sm: StepModel, plan: StepPlan) -> float:
     """1.0 in qualitative mode, else the plan's tightened robustness, folded
     from its atom values: the root variable is only a lower bound on it."""
     if sm.ctx.mode == "qual":
         return 1.0
     atoms = sm.enc.atoms
-    return float(atoms.fold(atoms.values(sm.plan_states(sol.x)))[atoms.spec.root, 0])
+    return float(atoms.fold(atoms.values(plan.xs))[atoms.spec.root, 0])
 
 
-def _checked(sm: StepModel, sol: Solution, source: str) -> Solution:
-    """Every dive or search plan, a node-limited search's incumbent
-    included, is checked against its step model before it is applied, as
-    reused plans are, within the row tolerance the LP core itself accepts."""
-    if sol.x is not None:
-        viol = sm.model.check_solution(sol.x, sm.model.feasibility_tol())
-        if viol:
-            worst = max(viol, key=lambda v: v["amount"])
-            raise MilpConsistencyError(
-                f"{source} plan at step {sm.k} violates {worst['kind']} {worst['name']} by {worst['amount']:.3e}"
-            )
-    return sol
+def _checked(sm: StepModel, sol: Solution, source: str) -> StepPlan:
+    """A dive or search result as a StepPlan.  Every plan, a node-limited
+    search's incumbent included, is first checked against its step model,
+    within the row tolerance the LP core itself accepts."""
+    if sol.x is None:
+        return StepPlan(sol.status, objective=sol.objective, iterations=sol.iterations, nodes=sol.nodes, gap=sol.gap)
+    viol = sm.model.check_solution(sol.x, sm.model.feasibility_tol())
+    if viol:
+        worst = max(viol, key=lambda v: v["amount"])
+        raise MilpConsistencyError(
+            f"{source} plan at step {sm.k} violates {worst['kind']} {worst['name']} by {worst['amount']:.3e}"
+        )
+    return StepPlan(sol.status, sm.plan_states(sol.x), sm.plan_inputs(sol.x), sol.objective,
+                    sol.iterations, sol.nodes, sol.gap)
+
+
+def _reusable(sm: StepModel, xs: np.ndarray, us: dict[int, np.ndarray]) -> bool:
+    """Whether the plan (xs with the observed prefix, us for tau = k..t_phi-1)
+    satisfies the step as it stands, decided without a solution vector and
+    within sm.model.feasibility_tol(), the tolerance dives and searches are
+    held to: the dynamics from the observed x_k on, the state box after k,
+    the input box and the mixed rows from k on, and the spec on the step's
+    atom table as require() pins it."""
+    sys, tol = sm.sys, sm.model.feasibility_tol()
+    x, u = xs[sm.k:], np.stack([us[tau] for tau in range(sm.k, sm.t_phi)])
+    if not (
+        np.all(np.abs(x[1:] - (x[:-1] @ sys.a.T + u @ sys.b.T + sys.c)) <= tol)
+        and np.all(x[1:] >= sys.state_lo - tol) and np.all(x[1:] <= sys.state_hi + tol)
+        and np.all(u >= sys.input_lo - tol) and np.all(u <= sys.input_hi + tol)
+    ):
+        return False
+    for row in sys.mixed_rows:
+        excess = x[:-1] @ np.asarray(row.coeff_x) + u @ np.asarray(row.coeff_u) - row.rhs
+        if not np.all({"<=": excess, ">=": -excess, "=": np.abs(excess)}[row.sense] <= tol):
+            return False
+    atoms, root = sm.enc.atoms, sm.enc.atoms.spec.root
+    if sm.ctx.mode == "qual":  # the fold suggest_assignment reads; a decided root folds the same way
+        return bool(atoms.fold(np.where(atoms.holds(xs), 1.0, -1.0))[root, 0] > 0.0)
+    if isinstance(sm.enc.root, float):  # decided by the observed prefix: require's sign test
+        return sm.enc.root >= 0.0
+    return bool(atoms.fold(atoms.values(xs))[root, 0] >= EPS_ROBUST - tol)
 
 
 def solve_step(
     sm: StepModel,
     hint_xs: np.ndarray | None = None,
     hint_us: dict[int, np.ndarray] | None = None,
-) -> tuple[Solution, str]:
+) -> tuple[StepPlan, str]:
     """A plan for one step model and how it was found: "reuse", "dive" or
-    "search".  The hinted plan (states and inputs) is reused if it passes
-    the model's check; else the states' suggested binary assignment is
-    dived on; else branch and bound runs, its iterations counting those of
-    a failed dive.  A model without binaries has nothing to dive on, and its
-    one LP is the search.  Every dive and search plan is _checked."""
-    if hint_xs is not None and hint_us is not None:
-        vec = sm.candidate_solution(hint_xs, hint_us)
-        if vec is not None and not sm.model.check_solution(vec, sm.model.feasibility_tol()):
-            return Solution("optimal", vec, sm.model.objective_value(vec)), "reuse"
+    "search".  If the model's objective is constant (the zero cost), a
+    hinted plan (states, whose observed prefix is replaced by the step's,
+    and inputs for every tau = k..t_phi-1) is reused verbatim when it passes
+    _reusable.  Else the states' suggested binary assignment is dived on;
+    else branch and bound runs, its iterations counting those of a failed
+    dive.  A model without binaries has nothing to dive on, and its one LP
+    is the search.  Every dive and search plan is _checked."""
+    k, t_phi = sm.k, sm.t_phi
+    if (hint_xs is not None and hint_us is not None and not sm.model.obj
+            and all(tau in hint_us for tau in range(k, t_phi))):
+        xs = np.array(hint_xs, dtype=float)
+        xs[: k + 1] = [sm.ctx.observed_x[tau] for tau in range(k + 1)]
+        us = {tau: np.array(hint_us[tau], dtype=float) for tau in range(k, t_phi)}
+        if _reusable(sm, xs, us):
+            return StepPlan("optimal", xs, us, sm.model.obj_const), "reuse"
     dive_iters = 0
     hint = suggest_assignment(sm.ctx, sm.enc, hint_xs) if hint_xs is not None else None
     if hint:
-        sol = _checked(sm, dive_solve(sm.model, hint), "dive")
-        if sol.status == "optimal":
-            return sol, "dive"
-        dive_iters = sol.iterations
-    sol = _checked(sm, solve_bb(sm.model), "search")
-    sol.iterations += dive_iters
-    return sol, "search"
+        plan = _checked(sm, dive_solve(sm.model, hint), "dive")
+        if plan.status == "optimal":
+            return plan, "dive"
+        dive_iters = plan.iterations
+    plan = _checked(sm, solve_bb(sm.model), "search")
+    plan.iterations += dive_iters
+    return plan, "search"
 
 
-def _failure_status(sm: StepModel, sol: Solution) -> str:
-    if sol.status == "infeasible" and sm.insufficient:
+def _failure_status(sm: StepModel, plan: StepPlan) -> str:
+    if plan.status == "infeasible" and sm.insufficient:
         return "calibration-insufficient"
-    return sol.status
+    return plan.status
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +483,16 @@ def synthesize_open_loop(
     with status "limit"."""
     ys_obs = {(0, i): np.asarray(y, dtype=float) for i, y in agents_now.items()}
     sm = build_step_model(sys, spec, 0, {0: sys.x0}, ys_obs, predictions, radius, mode=mode)
-    sol, _ = solve_step(sm, hint_xs)
-    if sol.status != "optimal":
-        return ControlResult(status=_failure_status(sm, sol), nodes=sol.nodes, iterations=sol.iterations)
-    xs = sm.plan_states(sol.x)
-    us_map = sm.plan_inputs(sol.x)
-    us = np.stack([us_map[tau] for tau in range(sm.t_phi)])
+    plan, _ = solve_step(sm, hint_xs)
+    if plan.status != "optimal":
+        return ControlResult(status=_failure_status(sm, plan), nodes=plan.nodes, iterations=plan.iterations)
+    us = np.stack([plan.us[tau] for tau in range(sm.t_phi)])
     recovered = None
     if sys.input_recover is not None:
-        recovered = np.stack([np.atleast_1d(sys.input_recover(xs[tau], us[tau])) for tau in range(sm.t_phi)])
+        recovered = np.stack([np.atleast_1d(sys.input_recover(plan.xs[tau], us[tau])) for tau in range(sm.t_phi)])
     return ControlResult(
-        status="optimal", us=us, xs=xs, objective=sol.objective,
-        root_value=_root_value(sm, sol), nodes=sol.nodes, iterations=sol.iterations,
+        status="optimal", us=us, xs=plan.xs, objective=plan.objective,
+        root_value=_root_value(sm, plan), nodes=plan.nodes, iterations=plan.iterations,
         recovered_us=recovered,
     )
 
@@ -519,8 +542,7 @@ def run_closed_loop(
     xs[0] = sys.x0
     us = np.zeros((t_phi, sys.n_u))
     records: list[StepRecord] = []
-    prev_xs = hint_xs
-    prev_us = None if hint_us is None else {t: np.asarray(u, dtype=float) for t, u in hint_us.items()}
+    prev_xs, prev_us = hint_xs, hint_us
     ys_obs: dict[tuple[int, int], np.ndarray] = {}
     status, k_done = "optimal", t_phi
 
@@ -532,38 +554,31 @@ def run_closed_loop(
             sys, cs, k, {tau: xs[tau] for tau in range(k + 1)}, dict(ys_obs), preds,
             lambda tau, i, _k=k: radius(_k, tau, i), mode=mode,
         )
-        if prev_xs is not None:
-            hint_states = np.asarray(prev_xs, dtype=float).copy()
-            hint_states[: k + 1] = xs[: k + 1]
-        else:
-            hint_states = None
-        sol, solved_by = solve_step(sm, hint_states, prev_us)
-        applied = sol.x is not None
+        plan, solved_by = solve_step(sm, prev_xs, prev_us)
+        applied = plan.xs is not None
         if applied:
-            plan_xs = sm.plan_states(sol.x)
-            plan_us = sm.plan_inputs(sol.x)
-            u_k = plan_us[k]
+            u_k = plan.us[k]
             stepped = sys.step(xs[k], u_k)
-            miss = float(np.max(np.abs(plan_xs[k + 1] - stepped)))
+            miss = float(np.max(np.abs(plan.xs[k + 1] - stepped)))
             if miss > sm.model.feasibility_tol():  # the tolerance solve_step accepted its dyn rows within
                 raise MilpConsistencyError(
                     f"planned state at {k + 1} diverges from simulated dynamics by {miss:.3e}"
                 )
         records.append(StepRecord(
-            k=k, status=sol.status, solved_by=solved_by,
-            objective=float(sol.objective) if applied and sol.objective is not None else None,
+            k=k, status=plan.status, solved_by=solved_by,
+            objective=float(plan.objective) if applied and plan.objective is not None else None,
             u=[float(v) for v in u_k] if applied else None, x=[float(v) for v in xs[k]],
             y={str(i): [float(v) for v in playback[i][k]] for i in range(len(playback))},
             radii={f"{tau},{i}": float(radius(k, tau, i)) for (tau, i) in sorted(preds)},
-            nodes=sol.nodes, iterations=sol.iterations,
-            n_binaries=len(sm.model.binary_ids()), gap=float(sol.gap) if applied else None,
+            nodes=plan.nodes, iterations=plan.iterations,
+            n_binaries=len(sm.model.binary_ids()), gap=float(plan.gap) if applied else None,
         ))
         if not applied:
-            status, k_done = _failure_status(sm, sol), k
+            status, k_done = _failure_status(sm, plan), k
             break
         us[k] = u_k
         xs[k + 1] = stepped
-        prev_xs, prev_us = plan_xs, plan_us
+        prev_xs, prev_us = plan.xs, plan.us
 
     satisfied, rho, recovered = False, None, None
     if status == "optimal":

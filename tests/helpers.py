@@ -625,3 +625,38 @@ def oracle_tightened_robustness(ctx, f, tau, xs):
     kind, pairs = oracle_children(f, tau)
     vals = [oracle_tightened_robustness(ctx, c, t, xs) for c, t in pairs]
     return min(vals) if kind == "and" else max(vals)
+
+
+# ---------------------------------------------------------------------------
+# plan reuse decided on the step model
+
+
+def oracle_reusable(sm, xs, us, tol=None) -> bool:
+    """Whether a hinted plan passes its step model's own check: one solution
+    vector holding the plan's future states and its inputs, the binaries
+    encoding.suggest_assignment reads off the states, every gate at its
+    exact min/max and require's root variable at its defining row, checked
+    row by row within tol (default sm.model.feasibility_tol()).  A plan
+    that leaves a variable unset (an input missing, a cost auxiliary)
+    fails."""
+    model = sm.model
+    vec = np.full(model.n_vars, np.nan)
+    for tau, vids in sm.x_vars.items():
+        vec[vids] = np.asarray(xs[tau], dtype=float)[: len(vids)]
+    for tau, vids in sm.u_vars.items():
+        if tau not in us:
+            return False
+        vec[vids] = np.asarray(us[tau], dtype=float)
+    for v, val in encoding.suggest_assignment(sm.ctx, sm.enc, xs).items():
+        vec[v] = val
+    for entry in sm.enc.registry:  # children are registered before their parents
+        if entry[0] == "sel":
+            _, op, rbar, _, exprs = entry
+            scores = [e.const + sum(c * vec[v] for v, c in e.coeffs.items()) for e in exprs]
+            vec[rbar] = min(scores) if op == "min" else max(scores)
+    for row in model.rows:
+        if row.name == "root_value":  # r_root - e = e.const
+            vec[sm.root] = row.rhs - sum(c * vec[v] for v, c in row.coeffs.items() if v != sm.root)
+    if np.isnan(vec).any():
+        return False
+    return not model.check_solution(vec, model.feasibility_tol() if tol is None else tol)

@@ -63,6 +63,22 @@ class TestConfig:
         assert "config error: heater temperature must exceed the state box" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, field, value, label", [
+        ("gen-data", "seed", 1.5, "seed:"),
+        ("gen-data", "seed", True, "seed:"),
+        ("gen-data", "sizes", [20.0, 30, 30], "sizes[0]:"),
+        ("validate-coverage", "trials", 2.5, "trials:"),
+        ("validate-coverage", "n_cal", 2.5, "n_cal:"),
+        ("validate-coverage", "n_test", 2.5, "n_test:"),
+        ("synth-open", "test_index", 1.5, "test_index:"),
+    ])
+    def test_non_integer_counts_are_config_errors(self, tmp_path, capsys, command, field, value, label):
+        cfg = write_config(tmp_path / "c.json", **{"scenario": "temperature", "sizes": [20, 30, 30], field: value})
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--out", str(out)) == 2
+        assert f"config error: {label} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             run("frobnicate")

@@ -592,12 +592,6 @@ class TestDiagnostics:
         assert kinds == {"bound", "integrality", "row"}
         assert m.check_solution([0.5, 0.0]) == []
 
-    def test_objective_value_helper(self):
-        m = MilpModel()
-        x = m.add_continuous("x", 0, 1)
-        m.set_objective({x: 2.0}, const=1.0)
-        assert m.objective_value([0.25]) == pytest.approx(1.5)
-
     def test_lp_export_format(self):
         m = MilpModel("demo")
         x = m.add_continuous("pos x", -1, 1)

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import atom, oracle_boolean, oracle_robustness, simulate
-from stlcp import milp, stl, synthesis
+from helpers import atom, oracle_boolean, oracle_reusable, oracle_robustness, random_formula, simulate
+from stlcp import encoding, milp, stl, synthesis
 from stlcp.casestudies import (
     RobotScenario,
     TemperatureScenario,
     build_robot_specs,
     build_temperature_spec,
+    gen_temperature_dataset,
     robot_system,
     temperature_reformulate,
 )
+from stlcp.conformal import calibrate, compute_normalizers
+from stlcp.prediction import fit_predictor, prediction_table
 from stlcp.casestudies.robot import follower_hint
 from stlcp.milp import Solution
 from stlcp.synthesis import (
@@ -125,7 +128,7 @@ class TestOpenLoop:
         sol, _ = synthesis.solve_step(sm)
         assert sol.status == "optimal"
         ys = (np.array([[0.0]] + [[0.1 * t] for t in range(1, 4)]),)
-        rho = oracle_robustness(stl.to_pnf(spec), stl.JointTrajectory(sm.plan_states(sol.x), ys), 0)
+        rho = oracle_robustness(stl.to_pnf(spec), stl.JointTrajectory(sol.xs, ys), 0)
         root_value = synthesis._root_value(sm, sol)
         assert root_value == pytest.approx(rho, abs=1e-9)
         # |u| <= 1 binds: x1 <= 1, so max-min robustness is x1 - y1 = 0.9
@@ -185,7 +188,7 @@ class TestCosts:
         )
         sol, _ = synthesis.solve_step(sm)
         assert sol.status == "optimal"
-        assert sm.plan_inputs(sol.x)[0][0] == pytest.approx(0.9, abs=1e-7)
+        assert sol.us[0][0] == pytest.approx(0.9, abs=1e-7)
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
 
     def test_cost_validation(self):
@@ -426,12 +429,12 @@ class TestClosedLoop:
         sm = build_step_model(sys, stl.Always(1, 1, atom([1.0], [], -40.0)), 0, {0: sys.x0}, {}, {},
                               lambda tau, i: 0.0)
         hint_xs, hint_us = np.array([[50.0], [50.5 + 1e-6]]), {0: np.array([0.5])}
-        vec = sm.candidate_solution(hint_xs, hint_us)
         assert milp.FEASIBILITY_TOL < 1e-6 < sm.model.feasibility_tol()
-        assert sm.model.check_solution(vec) and not sm.model.check_solution(vec, sm.model.feasibility_tol())
+        assert not oracle_reusable(sm, hint_xs, hint_us, milp.FEASIBILITY_TOL)
+        assert oracle_reusable(sm, hint_xs, hint_us)
         sol, solved_by = synthesis.solve_step(sm, hint_xs, hint_us)
         assert (sol.status, solved_by) == ("optimal", "reuse")
-        assert np.array_equal(sol.x, vec)
+        assert np.array_equal(sol.xs, hint_xs) and {t: u.tolist() for t, u in sol.us.items()} == {0: [0.5]}
 
     def test_closed_loop_applies_a_reused_plan_within_the_model_tolerance(self):
         # the same hinted plan, end to end: step 0 reuses it and the closed
@@ -533,7 +536,9 @@ class TestPlanCheck:
         monkeypatch.setattr(milp, "NODE_LIMIT", 3)
         sm, (capped, solved_by) = solve()
         assert (capped.status, solved_by, capped.nodes) == ("limit", "search", 3)
-        assert not sm.model.check_solution(capped.x, sm.model.feasibility_tol())
+        # the incumbent passed _checked: its states follow its inputs and keep |x - y| >= 1
+        assert np.allclose(simulate(sys, np.stack([capped.us[t] for t in range(3)])), capped.xs, atol=1e-9)
+        assert np.all(np.abs(capped.xs[2:]) >= 1.0 - 1e-9)
         # |x2| = |x3| = 1 + EPS is optimal; the unsolved sibling bounds 0
         assert (full.status, full.gap, full.objective) == ("optimal", 0.0, pytest.approx(2.0, abs=1e-5))
         assert capped.objective == pytest.approx(full.objective, abs=1e-9)
@@ -555,6 +560,145 @@ class TestPlanCheck:
 
 def model_size(sm):
     return sm.model.n_vars, len(sm.model.rows), len(sm.model.binary_ids())
+
+
+def in_tolerance_band(sm, xs) -> bool:
+    """Whether a linear atom instance of xs lies in [EPS - tol, EPS - 1e-9):
+    its row holds within the model's tolerance, its strict margin does not."""
+    values = sm.enc.atoms.values(np.asarray(xs, dtype=float))
+    tol = sm.model.feasibility_tol()
+    band = (values >= encoding.EPS - tol) & (values < encoding.EPS - 1e-9)
+    return bool(np.any(band & np.asarray(sm.enc.atoms.linear)))
+
+
+class TestReuseDecision:
+    """solve_step decides reuse on the plan itself; tests/helpers.py's
+    oracle_reusable decides it on the step model's rows.  They agree except
+    where the oracle admits an unguarded atom met only within the row
+    tolerance below EPS, which the plan check rejects."""
+
+    @staticmethod
+    def decisions(sm, xs, us):
+        return synthesis.solve_step(sm, xs, us)[1] == "reuse", oracle_reusable(sm, xs, us)
+
+    @pytest.mark.parametrize("mode", ["qual", "quant"])
+    def test_decision_matches_the_model_check_on_random_plans(self, mode):
+        rng = np.random.default_rng(31 if mode == "qual" else 32)
+        seen = {True: 0, False: 0}
+        for _ in range(80):
+            f = random_formula(rng, 1, (1,), depth=3, max_interval=3)
+            t_phi = stl.horizon(f)
+            if not 1 <= t_phi <= 6:
+                continue
+            sys = SystemModel(a=[[1.0]], b=[[1.0]], c=[0.0], x0=[float(rng.uniform(-1, 1))],
+                              state_box=([-4.0], [4.0]), input_box=([-1.0], [1.0]),
+                              mixed_rows=(MixedRow((1.0,), (1.0,), "<=", 1.5),))
+            k = int(rng.integers(0, t_phi))
+            ys = rng.uniform(-2, 2, size=(t_phi + 1, 1))
+            xs_obs = simulate(sys, rng.uniform(-1, 1, size=(k, 1)))
+            sm = build_step_model(
+                sys, f, k, dict(enumerate(xs_obs)), {(tau, 0): ys[tau] for tau in range(k + 1)},
+                {(tau, 0): ys[tau] + rng.uniform(-0.2, 0.2, size=1) for tau in range(k + 1, t_phi + 1)},
+                lambda tau, i: 0.05 * tau, mode=mode,
+            )
+            us = rng.uniform(-1.1, 1.1, size=(t_phi - k, 1))  # sometimes outside the input box
+            plans = [(np.vstack([xs_obs, simulate(sys, us, xs_obs[k])[1:]]), dict(zip(range(k, t_phi), us)))]
+            solved, _ = synthesis.solve_step(sm)
+            if solved.xs is not None:
+                nudged = solved.xs.copy()
+                nudged[int(rng.integers(k + 1, t_phi + 1))] += 1e-3  # leaves a dynamics row
+                plans += [(solved.xs, solved.us), (nudged, solved.us)]
+            for xs, plan_us in plans:
+                new, old = self.decisions(sm, xs, plan_us)
+                assert new == old or (old and not new and in_tolerance_band(sm, xs)), (f, k)
+                seen[new] += 1
+        assert seen[True] >= 15 and seen[False] >= 15, seen
+
+    @staticmethod
+    def record_decisions(monkeypatch) -> list:
+        seen = []
+        real = synthesis.solve_step
+
+        def both(sm, hint_xs=None, hint_us=None):
+            plan, solved_by = real(sm, hint_xs, hint_us)
+            if hint_us is not None:
+                seen.append((solved_by == "reuse", oracle_reusable(sm, hint_xs, hint_us)))
+            return plan, solved_by
+
+        monkeypatch.setattr(synthesis, "solve_step", both)
+        return seen
+
+    def test_decisions_agree_on_a_follower_slice(self, monkeypatch, leader_bundle):
+        b = leader_bundle
+        table = b.predictor.table
+        spec, plant = build_robot_specs(b.sc)[0], robot_system(b.sc)
+
+        def preds_at(k):
+            return {(tau, 0): table.get(k, tau, 0) for tau in range(k + 1, b.sc.horizon + 1)}
+
+        base = synthesize_open_loop(plant, spec, {0: b.sc.start_pos}, preds_at(0),
+                                    lambda tau, i: b.radii.closed_radius(0, tau, i), hint_xs=follower_hint(b.sc))
+        seen = self.record_decisions(monkeypatch)
+        for tr in b.dataset.subset("test")[:6]:
+            run_closed_loop(plant, spec, (tr.ys[0],), preds_at, lambda k, tau, i: b.radii.closed_radius(k, tau, i),
+                            hint_xs=base.xs, hint_us=dict(enumerate(base.us)))
+        assert len(seen) == 6 * b.sc.horizon and all(new == old for new, old in seen)
+
+    def test_decisions_agree_on_temperature_rooms(self, monkeypatch):
+        sc = TemperatureScenario()
+        ds = gen_temperature_dataset(700, 0, scenario=sc, sizes=(100, 300, 300))
+        train = ds.subset("train")
+        pred = fit_predictor(train, "cv")
+        radii = calibrate(ds.subset("cal"), pred, compute_normalizers(train, pred, sc.t_phi), sc.delta)
+        plant, spec = temperature_reformulate(sc), build_temperature_spec(sc.horizon, sc.comfort_gap)
+        seen = self.record_decisions(monkeypatch)
+        for tr in ds.subset("test")[:8]:
+            run_closed_loop(plant, spec, tr.ys, prediction_table(pred, tr, sc.t_phi).row,
+                            lambda k, tau, i: radii.closed_radius(k, tau, i))
+        assert all(new == old for new, old in seen)
+        assert {new for new, _ in seen} == {True, False}
+
+    def test_atom_met_only_within_the_tolerance_is_not_reused(self):
+        # x1 >= 40 is unguarded; the hinted x1 = 40 meets its row
+        # x1 >= 40 + EPS only within the model's tolerance, so the plan is
+        # not reused, and the dive on its assignment finds x1 = 40 + EPS
+        sys = integrator(x0=50.0, xlo=-100.0, xhi=100.0, ulo=-10.0, uhi=10.0)
+        spec = stl.Always(1, 1, stl.And((atom([1.0], [], -40.0), stl.Or((atom([1.0], [], 0.0),
+                                                                          atom([-1.0], [], -10.0))))))
+        sm = build_step_model(sys, spec, 0, {0: sys.x0}, {}, {}, lambda tau, i: 0.0)
+        hint_xs, hint_us = np.array([[50.0], [40.0]]), {0: np.array([-10.0])}
+        assert sm.model.feasibility_tol() > encoding.EPS and in_tolerance_band(sm, hint_xs)
+        assert oracle_reusable(sm, hint_xs, hint_us)
+        plan, solved_by = synthesis.solve_step(sm, hint_xs, hint_us)
+        assert (plan.status, solved_by) == ("optimal", "dive")
+        assert plan.xs[1, 0] >= 40.0 + encoding.EPS - 1e-9
+
+    def test_quantitative_root_margin(self):
+        # an open root must reach EPS_ROBUST within the tolerance; a root the
+        # observed prefix decides keeps require's plain sign test
+        sys = integrator()
+        sm = build_step_model(sys, stl.Always(1, 1, atom([1.0], [], 0.0)), 0, {0: sys.x0}, {}, {},
+                              lambda tau, i: 0.0, mode="quant")
+        tol = sm.model.feasibility_tol()
+        for x1, reused in ((encoding.EPS_ROBUST / 2, False), (encoding.EPS_ROBUST - tol / 2, True)):
+            assert self.decisions(sm, np.array([[0.0], [x1]]), {0: np.array([x1])}) == (reused, reused)
+        spec = stl.And((stl.Always(1, 1, atom([1.0], [], 0.0)), stl.Always(2, 2, stl.TrueNode())))
+        for x1, reused in ((encoding.EPS_ROBUST / 2, True), (-1e-3, False)):
+            sm = build_step_model(sys, spec, 1, {0: sys.x0, 1: np.array([x1])}, {}, {}, lambda tau, i: 0.0,
+                                  mode="quant")
+            assert sm.enc.root == x1
+            assert self.decisions(sm, np.array([[0.0], [x1], [x1]]), {1: np.array([0.0])}) == (reused, reused)
+
+    def test_hint_missing_an_input_is_not_reused(self):
+        sys = integrator()
+        spec = stl.Always(1, 2, stl.Or((atom([1.0], [], -0.5), atom([-1.0], [], -0.5))))  # |x| >= 0.5
+        sm = build_step_model(sys, spec, 0, {0: sys.x0}, {}, {}, lambda tau, i: 0.0)
+        hint_xs, hint_us = np.array([[0.0], [1.0], [1.0]]), {0: np.array([1.0]), 1: np.array([0.0])}
+        assert self.decisions(sm, hint_xs, hint_us) == (True, True)
+        del hint_us[1]
+        plan, solved_by = synthesis.solve_step(sm, hint_xs, hint_us)
+        assert (plan.status, solved_by) == ("optimal", "dive")
+        assert not oracle_reusable(sm, hint_xs, hint_us)
 
 
 class TestStepModelStructure:
