@@ -134,10 +134,25 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if cfg.overrides:
         cls = TemperatureScenario if cfg.scenario == "temperature" else RobotScenario
         known = {f.name for f in dataclasses.fields(cls)}
-        for key in cfg.overrides:
+        defaults = cls()
+        for key, value in cfg.overrides.items():
             if key not in known:
                 errs.append(f"overrides.{key}: unknown scenario constant for {cfg.scenario!r}")
+            elif not _same_shape(value, getattr(defaults, key)):
+                errs.append(f"overrides.{key}: {value!r} does not match the default {getattr(defaults, key)!r}")
     return errs
+
+
+def _same_shape(value, default) -> bool:
+    """Whether an override has its default's type and nesting.  An int may
+    stand for a float, and a tuple of boxes (the obstacles) may hold any number."""
+    if not isinstance(default, tuple):
+        return type(value) is type(default) or (type(default), type(value)) == (float, int)
+    if not isinstance(value, (list, tuple)):
+        return False
+    if default and isinstance(default[0], tuple):
+        default = (default[0],) * len(value)
+    return len(value) == len(default) and all(map(_same_shape, value, default))
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig:
@@ -224,6 +239,12 @@ def _out(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
 def _gen_dataset(cfg: ExperimentConfig, sc):
     sizes = cfg.resolved_sizes()
     n = sum(sizes)
@@ -302,9 +323,7 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
         }
     else:
         doc = {"kind": "constant-velocity"}
-    with open(spec_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(spec_path, doc)
     record_artifacts(cfg, "fit", paths, inputs={"dataset": _sha256_file(ds_path)})
     print(f"wrote {spec_path} (kind {doc['kind']})")
     return 0
@@ -333,9 +352,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
         "C_CL": radii.c_cl if np.isfinite(radii.c_cl) else None,
         "finite": radii.finite,
     }
-    with open(cal_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(cal_path, doc)
     n_agents = sigma.n_agents
     open_rows = [
         (tau, i, float(sigma.get(0, tau, i)), float(radii.open_radius(tau, i)))
@@ -445,6 +462,18 @@ def _export_step_lp(cfg, sys_model, spec, tr, pt, radii) -> str:
     return lp_path
 
 
+def _write_result(cfg: ExperimentConfig, command: str, res, doc: dict, paths: list[str], ds_path: str, lp_args):
+    """result.json, the fields both synthesis commands share plus doc, then
+    the optional LP export and the manifest entries for every path."""
+    doc = {"command": command, "scenario": cfg.scenario, "mode": cfg.mode, "delta": cfg.delta,
+           "test_index": cfg.test_index, "status": res.status, "nodes": res.nodes, "iterations": res.iterations, **doc}
+    paths.append(_out(cfg, "result.json"))
+    _write_json(paths[-1], doc)
+    if cfg.export_lp:
+        paths.append(_export_step_lp(cfg, *lp_args))
+    record_artifacts(cfg, command, paths, inputs={"dataset": _sha256_file(ds_path)})
+
+
 def cmd_synth_open(cfg: ExperimentConfig) -> int:
     ds_path, t_phi, radii, tr, sys_model, spec, hint, pt = _synth_common(cfg, "synth-open")
     agents_now = {i: tr.ys[i][0] for i in range(tr.n_agents)}
@@ -453,18 +482,7 @@ def cmd_synth_open(cfg: ExperimentConfig) -> int:
         lambda tau, i: radii.open_radius(tau, i), mode=cfg.mode, hint_xs=hint,
     )
     paths = []
-    doc = {
-        "command": "synth-open",
-        "scenario": cfg.scenario,
-        "mode": cfg.mode,
-        "delta": cfg.delta,
-        "test_index": cfg.test_index,
-        "status": res.status,
-        "objective": res.objective,
-        "root_value": res.root_value,
-        "nodes": res.nodes,
-        "iterations": res.iterations,
-    }
+    doc = {"objective": res.objective, "root_value": res.root_value}
     if res.feasible:
         trimmed = tuple(np.asarray(y)[: t_phi + 1] for y in tr.ys)
         traj = JointTrajectory(res.xs, trimmed)
@@ -475,14 +493,7 @@ def cmd_synth_open(cfg: ExperimentConfig) -> int:
         header, rows = _overlay_rows(t_phi, tr, pt, radii.open_radius)
         write_csv_rows(_out(cfg, "overlay.csv"), header, rows)
         paths += [plan_path, _out(cfg, "overlay.csv")]
-    res_path = _out(cfg, "result.json")
-    with open(res_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    paths.append(res_path)
-    if cfg.export_lp:
-        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii))
-    record_artifacts(cfg, "synth-open", paths, inputs={"dataset": _sha256_file(ds_path)})
+    _write_result(cfg, "synth-open", res, doc, paths, ds_path, (sys_model, spec, tr, pt, radii))
     print(f"synth-open {cfg.scenario}[{cfg.test_index}]: {res.status}"
           + (f", satisfied={doc.get('satisfied')}" if res.feasible else ""))
     return 0 if res.feasible else 1
@@ -498,17 +509,9 @@ def cmd_synth_closed(cfg: ExperimentConfig) -> int:
     )
     paths = [log_path]
     doc = {
-        "command": "synth-closed",
-        "scenario": cfg.scenario,
-        "mode": cfg.mode,
-        "delta": cfg.delta,
-        "test_index": cfg.test_index,
-        "status": res.status,
         "satisfied": res.satisfied,
         "realized_robustness": res.realized_robustness,
         "steps": len(res.records),
-        "nodes": res.nodes,
-        "iterations": res.iterations,
         "solved_by": {
             kind: sum(1 for r in res.records if r.solved_by == kind)
             for kind in ("reuse", "dive", "search")
@@ -518,14 +521,7 @@ def cmd_synth_closed(cfg: ExperimentConfig) -> int:
     trimmed = tuple(np.asarray(y)[: t_phi + 1] for y in tr.ys)
     write_trajectory_csv(trace_path, res.xs, res.us, trimmed if res.feasible else ())
     paths.append(trace_path)
-    res_path = _out(cfg, "result.json")
-    with open(res_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    paths.append(res_path)
-    if cfg.export_lp:
-        paths.append(_export_step_lp(cfg, sys_model, spec, tr, pt, radii))
-    record_artifacts(cfg, "synth-closed", paths, inputs={"dataset": _sha256_file(ds_path)})
+    _write_result(cfg, "synth-closed", res, doc, paths, ds_path, (sys_model, spec, tr, pt, radii))
     print(f"synth-closed {cfg.scenario}[{cfg.test_index}]: {res.status}, satisfied={res.satisfied}")
     return 0 if res.feasible else 1
 
@@ -572,9 +568,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
             fh.write(_render_trace(cfg, header, rows))
         written.append(svg_path)
     summary = _out(cfg, "report.json")
-    with open(summary, "w") as fh:
-        json.dump({"artifacts": sorted(os.path.basename(p) for p in written)}, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, {"artifacts": sorted(os.path.basename(p) for p in written)})
     written.append(summary)
     record_artifacts(cfg, "report", written)
     print(f"report: {len(written)} artifacts in {cfg.out}")

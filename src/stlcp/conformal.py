@@ -1,23 +1,26 @@
 """Split conformal prediction regions for agent trajectories.
 
 Calibration follows the normalized max-score construction: each calibration
-trajectory contributes a single score, the maximum over times and agents of
-the prediction error divided by a normalization constant sigma learned from
-the training split.  The (1-delta) empirical quantile of the scores, with the
-multiset augmented by +inf, then scales back into per-time, per-agent region
-radii with a joint coverage guarantee over all times and agents at once.
+trajectory contributes a single score, the maximum over a set of the
+prediction table's (k, tau) rows and over agents of its error array
+(PredictionTable.errors) divided by sigma, the running maximum of the
+training split's error arrays.  The open loop takes block k = 0, the closed
+loop the first row of each block k, the one-step pair (k, k+1).  The
+(1-delta) empirical quantile of the scores, with the multiset augmented by
++inf, then scales back into per-time, per-agent region radii with a joint
+coverage guarantee over all times and agents at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .prediction import AgentTrajectory, PredictionTable, prediction_table
+from .prediction import AgentTrajectory, pair_row, prediction_table
 
 #: Lower floor applied to every normalization constant so that scores stay
 #: finite when the training errors vanish (e.g. a perfect predictor).
@@ -62,52 +65,39 @@ def conformal_quantile(scores: Sequence[float], delta: float) -> float:
 # normalization
 
 
-@dataclass
 class NormalizationTable:
-    """sigma_{tau|k,i}: worst training prediction error, floored at SIGMA_MIN."""
+    """sigma_{tau|k,i}: worst training prediction error, floored at SIGMA_MIN;
+    values[row, i] in the rows of prediction.pair_row."""
 
-    t_phi: int
-    n_agents: int
-    values: dict[tuple[int, int, int], float] = field(default_factory=dict)
+    def __init__(self, t_phi: int, values):
+        self.t_phi = t_phi
+        self.values = np.asarray(values, dtype=float)
+
+    @property
+    def n_agents(self) -> int:
+        return self.values.shape[1]
 
     def get(self, k: int, tau: int, agent: int) -> float:
-        return self.values[(k, tau, agent)]
+        return float(self.values[pair_row(self.t_phi, k, tau), agent])
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalizationTable):
+            return NotImplemented
+        return self.t_phi == other.t_phi and np.array_equal(self.values, other.values)
 
 
 def compute_normalizers(train: Sequence[AgentTrajectory], predictor, t_phi: int) -> NormalizationTable:
     if not train:
         raise ValueError("no training trajectories")
-    n_agents = train[0].n_agents
-    table = NormalizationTable(t_phi, n_agents)
-    worst: dict[tuple[int, int, int], float] = {}
+    worst = None
     for tr in train:
-        pt = prediction_table(predictor, tr, t_phi)
-        for k in range(t_phi):
-            for tau in range(k + 1, t_phi + 1):
-                for i in range(n_agents):
-                    err = float(np.linalg.norm(tr.ys[i][tau] - pt.get(k, tau, i)))
-                    key = (k, tau, i)
-                    if err > worst.get(key, -1.0):
-                        worst[key] = err
-    for key, v in worst.items():
-        table.values[key] = max(v, SIGMA_MIN)
-    return table
+        err = prediction_table(predictor, tr, t_phi).errors(tr)
+        worst = err if worst is None else np.maximum(worst, err, out=worst)
+    return NormalizationTable(t_phi, np.maximum(worst, SIGMA_MIN))
 
 
 # ---------------------------------------------------------------------------
 # scores
-
-
-def score(
-    traj: AgentTrajectory, table: PredictionTable, sigma: NormalizationTable, pairs: Sequence[tuple[int, int]]
-) -> float:
-    """max over (k, tau) in pairs, agents i of ||Y_tau,i - yhat_{tau|k,i}|| / sigma_{tau|k,i}."""
-    best = 0.0
-    for k, tau in pairs:
-        for i in range(sigma.n_agents):
-            err = float(np.linalg.norm(traj.ys[i][tau] - table.get(k, tau, i)))
-            best = max(best, err / sigma.get(k, tau, i))
-    return best
 
 
 def trajectory_scores(
@@ -117,14 +107,14 @@ def trajectory_scores(
     scores every prediction made at k = 0, the closed loop every one-step
     prediction (k, k+1)."""
     t_phi = sigma.t_phi
-    open_pairs = [(0, tau) for tau in range(1, t_phi + 1)]
-    closed_pairs = [(k, k + 1) for k in range(t_phi)]
-    r_ol, r_cl = [], []
-    for tr in trajs:
-        pt = prediction_table(predictor, tr, t_phi)
-        r_ol.append(score(tr, pt, sigma, open_pairs))
-        r_cl.append(score(tr, pt, sigma, closed_pairs))
-    return np.array(r_ol), np.array(r_cl)
+    open_rows = [pair_row(t_phi, 0, tau) for tau in range(1, t_phi + 1)]
+    closed_rows = [pair_row(t_phi, k, k + 1) for k in range(t_phi)]
+    r_ol, r_cl = np.empty(len(trajs)), np.empty(len(trajs))
+    for j, tr in enumerate(trajs):
+        r = prediction_table(predictor, tr, t_phi).errors(tr) / sigma.values
+        r_ol[j] = r[open_rows].max()
+        r_cl[j] = r[closed_rows].max()
+    return r_ol, r_cl
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +211,8 @@ class CoverageReport:
                 "n_test": self.n_test,
                 "trials": self.trials,
                 "p": self.rank,
-                "C_OL" if self.mode == "open" else "C_CL": self.c_full,
+                # null, as calibration.json writes it: JSON has no Infinity
+                "C_OL" if self.mode == "open" else "C_CL": self.c_full if math.isfinite(self.c_full) else None,
                 "band": [lo, hi],
                 "mean": self.mean,
                 "per_trial_ratios": [float(r) for r in self.ratios],
@@ -255,10 +246,9 @@ def validate_coverage(
         raise ValueError(f"cal split has {len(cal_pool)} < {n_cal} trajectories")
     if len(test_pool) < n_test:
         raise ValueError(f"test split has {len(test_pool)} < {n_test} trajectories")
-    ol_cal, cl_cal = trajectory_scores(cal_pool, predictor, sigma)
-    ol_test, cl_test = trajectory_scores(test_pool, predictor, sigma)
-    cal_scores = ol_cal if mode == "open" else cl_cal
-    test_scores = ol_test if mode == "open" else cl_test
+    pick = 0 if mode == "open" else 1
+    cal_scores = trajectory_scores(cal_pool, predictor, sigma)[pick]
+    test_scores = trajectory_scores(test_pool, predictor, sigma)[pick]
 
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)

@@ -116,10 +116,18 @@ def split_dataset(
 # prediction tables
 
 
+def pair_row(t_phi: int, k: int, tau: int) -> int:
+    """Row of (k, tau) among the pairs 0 <= k < tau <= t_phi in (k, tau) order,
+    the layout of PredictionTable, its errors and sigma.  Block k starts with (k, k+1)."""
+    if not 0 <= k < tau <= t_phi:
+        raise KeyError((k, tau))
+    return k * t_phi - k * (k - 1) // 2 + tau - k - 1
+
+
 class PredictionTable:
     """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi.
 
-    One array holds them all, a row per pair k < tau in (k, tau) order:
+    One array holds them all, a row per pair k < tau (see pair_row):
     values[row] concatenates the agents' predictions, and known[row, i]
     marks the entries set.  A closed-loop run keeps its table, and a dict of
     one small array per entry cost about twenty times the memory."""
@@ -128,21 +136,15 @@ class PredictionTable:
         self.t_phi = t_phi
         self.dims = tuple(dims)
         self._start = [0] + np.cumsum(self.dims).tolist()
-        # row of (k, tau) is _first[k] + tau - k - 1
-        self._first = [k * t_phi - k * (k - 1) // 2 for k in range(t_phi + 1)]
-        self.values = np.zeros((self._first[-1], self._start[-1]))
-        self.known = np.zeros((self._first[-1], len(self.dims)), dtype=bool)
-
-    def _row(self, k: int, tau: int) -> int:
-        if not 0 <= k < tau <= self.t_phi:
-            raise KeyError((k, tau))
-        return self._first[k] + tau - k - 1
+        n_rows = t_phi * (t_phi + 1) // 2
+        self.values = np.zeros((n_rows, self._start[-1]))
+        self.known = np.zeros((n_rows, len(self.dims)), dtype=bool)
 
     def set(self, k: int, tau: int, agent: int, value) -> None:
         v = np.asarray(value, dtype=float).reshape(-1)
         if v.shape[0] != self.dims[agent]:
             raise ValueError("prediction dimension mismatch")
-        r = self._row(k, tau)
+        r = pair_row(self.t_phi, k, tau)
         self.values[r, self._start[agent] : self._start[agent + 1]] = v
         self.known[r, agent] = True
 
@@ -151,19 +153,19 @@ class PredictionTable:
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (self.t_phi - k, self.dims[agent]):
             raise ValueError("prediction dimension mismatch")
-        block = slice(self._first[k], self._first[k + 1])
+        block = slice(pair_row(self.t_phi, k, k + 1), pair_row(self.t_phi, k, self.t_phi) + 1)
         self.values[block, self._start[agent] : self._start[agent + 1]] = rows
         self.known[block, agent] = True
 
     def get(self, k: int, tau: int, agent: int) -> np.ndarray:
-        r = self._row(k, tau)
+        r = pair_row(self.t_phi, k, tau)
         if not self.known[r, agent]:
             raise KeyError((k, tau, agent))
         return self.values[r, self._start[agent] : self._start[agent + 1]]
 
     def row(self, k: int) -> dict[tuple[int, int], np.ndarray]:
         """Predictions made at time k, keyed by (tau, agent)."""
-        block = slice(self._first[k], self._first[k + 1])
+        block = slice(pair_row(self.t_phi, k, k + 1), pair_row(self.t_phi, k, self.t_phi) + 1)
         values, known = self.values[block], self.known[block].tolist()
         return {
             (k + 1 + j, i): values[j, self._start[i] : self._start[i + 1]]
@@ -174,6 +176,17 @@ class PredictionTable:
 
     def is_complete(self) -> bool:
         return bool(self.known.all())
+
+    def errors(self, traj: AgentTrajectory) -> np.ndarray:
+        """err[row, i] = ||Y_{tau,i} - yhat_{tau|k,i}||, the prediction error
+        of every entry against the realized trajectory."""
+        if traj.dims != self.dims or not self.is_complete():
+            raise ValueError("errors need a complete table of the trajectory's agents")
+        taus = [tau for k in range(self.t_phi) for tau in range(k + 1, self.t_phi + 1)]
+        diff = (np.hstack(traj.ys)[taus] - self.values)[:, None, :]
+        # one dot product per entry, the one np.linalg.norm of the entry takes
+        sq = [diff[..., a:b] @ diff[..., a:b].transpose(0, 2, 1) for a, b in zip(self._start, self._start[1:])]
+        return np.sqrt(np.concatenate(sq, axis=2)[:, 0])
 
 
 def prediction_table(predictor, traj: AgentTrajectory, t_phi: int) -> PredictionTable:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from stlcp import encoding, stl
+from stlcp.conformal import SIGMA_MIN
 from stlcp.encoding import EncodingError
 from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT, MilpModel, Solution, _Arrays, _solve_fixed
+from stlcp.prediction import prediction_table
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def random_trajectory(rng, length, n_x=1, agent_dims=(1,), granularity=0.25):
 
 
 # ---------------------------------------------------------------------------
-# conformal quantile oracle
+# conformal oracles
 
 
 def oracle_quantile(scores, delta):
@@ -199,6 +201,33 @@ def oracle_quantile(scores, delta):
         if sum(1 for s in aug if s <= z) >= p:
             return z
     return math.inf
+
+
+def oracle_normalizers(train, predictor, t_phi):
+    """sigma_{tau|k,i} one entry at a time, keyed (k, tau, i): the worst
+    training error ||Y_{tau,i} - yhat_{tau|k,i}||, floored at SIGMA_MIN."""
+    worst = {}
+    for tr in train:
+        pt = prediction_table(predictor, tr, t_phi)
+        for k in range(t_phi):
+            for tau in range(k + 1, t_phi + 1):
+                for i in range(tr.n_agents):
+                    err = float(np.linalg.norm(tr.ys[i][tau] - pt.get(k, tau, i)))
+                    key = (k, tau, i)
+                    if err > worst.get(key, -1.0):
+                        worst[key] = err
+    return {key: max(v, SIGMA_MIN) for key, v in worst.items()}
+
+
+def oracle_score(traj, table, sigma, pairs):
+    """max over (k, tau) in pairs, agents i of ||Y_{tau,i} - yhat_{tau|k,i}|| / sigma_{tau|k,i};
+    sigma is anything with get(k, tau, i)."""
+    best = 0.0
+    for k, tau in pairs:
+        for i in range(traj.n_agents):
+            err = float(np.linalg.norm(traj.ys[i][tau] - table.get(k, tau, i)))
+            best = max(best, err / sigma.get(k, tau, i))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,32 @@ class TestConfig:
         assert f"config error: {label} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, name, value", [
+        ("robot", "horizon", "x"),
+        ("temperature", "horizon", 2.5),
+        ("robot", "obstacles", [[1, 2, 3]]),
+        ("robot", "obstacles", [1, 2, 3, 4]),
+        ("robot", "x0", 1.0),
+        ("robot", "region1", [0, 2, 4, "6"]),
+        ("temperature", "alpha_e", True),
+        ("temperature", "alpha_e", [0.06]),
+    ])
+    def test_override_unlike_its_default_is_a_config_error(self, tmp_path, capsys, scenario, name, value):
+        cfg = write_config(tmp_path / "c.json", scenario=scenario, sizes=[10, 10, 5], overrides={name: value})
+        out = tmp_path / "o"
+        assert run("synth-open", "--config", cfg, "--out", str(out)) == 2
+        assert f"config error: overrides.{name}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_shaped_like_their_defaults_pass(self):
+        robot = cli.ExperimentConfig(scenario="robot", overrides={
+            "horizon": 15, "d_close": 3, "x0": [1, 0.5, 1, 0], "obstacles": [[1, 2, 3, 4]], "region4": (7, 8.5, 0, 2),
+        })
+        assert cli.validate_config(robot) == []
+        assert cli.validate_config(cli.ExperimentConfig(overrides={"obstacles": []})) != []  # robot only
+        assert cli.validate_config(cli.ExperimentConfig(scenario="robot", overrides={"obstacles": []})) == []
+        assert cli.validate_config(cli.ExperimentConfig(overrides={"t_heater": 60, "events_max": 3})) == []
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             run("frobnicate")
@@ -113,6 +139,17 @@ class TestPipeline:
         rows = (out / "histogram.csv").read_text().strip().splitlines()
         assert rows[0] == "bin_lo,bin_hi,count"
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows[1:]) == doc["trials"]
+
+    def test_coverage_json_writes_an_infinite_quantile_as_null(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", sizes=[10, 5, 10], n_cal=5, n_test=5, trials=20)
+        out = tmp_path / "o"
+        assert run("validate-coverage", "--config", cfg, "--out", str(out)) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        doc = json.loads((out / "coverage.json").read_text(), parse_constant=reject)
+        assert doc["C_OL"] is None
 
     def test_fit_writes_predictor_spec(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", **SMALL_TEMP, predictor="ar")

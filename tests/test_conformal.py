@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,14 +15,15 @@ from stlcp.conformal import (
     conformal_quantile,
     conformal_rank,
     radii_for_delta,
-    score,
     trajectory_scores,
     validate_coverage,
 )
+from stlcp.casestudies.temperature import TemperatureScenario, gen_temperature_dataset
 from stlcp.prediction import (
     AgentTrajectory,
     ConstantVelocityPredictor,
     TrajectoryDataset,
+    fit_predictor,
     prediction_table,
     split_dataset,
 )
@@ -115,28 +117,81 @@ class TestNormalizers:
 
 OPEN_PAIRS_2 = [(0, 1), (0, 2)]  # {0} x 1..T at T = 2
 CLOSED_PAIRS_2 = [(0, 1), (1, 2)]  # (k, k+1)
+# sigma rows at T = 2 are the pairs (0, 1), (0, 2), (1, 2)
 
 
 class TestScores:
     def test_open_loop_max(self):
-        sigma = NormalizationTable(2, 1, {(0, 1, 0): 1.0, (0, 2, 0): 2.0, (1, 2, 0): 1.0})
+        sigma = NormalizationTable(2, [[1.0], [2.0], [1.0]])
         tr = mono([0.0, 1.0, 3.0])
         pt = prediction_table(ZeroPredictor(), tr, 2)
-        assert score(tr, pt, sigma, OPEN_PAIRS_2) == max(1.0 / 1.0, 3.0 / 2.0)
+        assert helpers.oracle_score(tr, pt, sigma, OPEN_PAIRS_2) == max(1.0 / 1.0, 3.0 / 2.0)
         assert trajectory_scores([tr], ZeroPredictor(), sigma)[0].tolist() == [1.5]
 
     def test_closed_loop_uses_one_step(self):
-        sigma = NormalizationTable(2, 1, {(0, 1, 0): 1.0, (0, 2, 0): 100.0, (1, 2, 0): 1.0})
+        sigma = NormalizationTable(2, [[1.0], [100.0], [1.0]])
         tr = mono([0.0, 1.0, 3.0])
         pt = prediction_table(ZeroPredictor(), tr, 2)
-        assert score(tr, pt, sigma, CLOSED_PAIRS_2) == 3.0
+        assert helpers.oracle_score(tr, pt, sigma, CLOSED_PAIRS_2) == 3.0
         assert trajectory_scores([tr], ZeroPredictor(), sigma)[1].tolist() == [3.0]
 
     def test_perfect_prediction_zero_score(self):
         tr = AgentTrajectory((np.array([1.0, 2.0, 3.0]),), (np.array([[0.0]]),))
-        pt = prediction_table(ConstantVelocityPredictor(), tr, 2)
         sigma = compute_normalizers([tr], ConstantVelocityPredictor(), 2)
-        assert score(tr, pt, sigma, OPEN_PAIRS_2) == 0.0
+        ol, cl = trajectory_scores([tr], ConstantVelocityPredictor(), sigma)
+        assert ol.tolist() == [0.0] and cl.tolist() == [0.0]
+
+
+class TestAgainstOracles:
+    """sigma and both scores against the per-entry loops in tests/helpers.py:
+    1-d agents bit for bit, wider ones within 1e-15 relative."""
+
+    @staticmethod
+    def check(train, cal, predictor, t_phi):
+        sigma = compute_normalizers(train, predictor, t_phi)
+        want = helpers.oracle_normalizers(train, predictor, t_phi)
+        dims = train[0].dims
+        assert sigma.values.shape == (t_phi * (t_phi + 1) // 2, len(dims)) and len(want) == sigma.values.size
+        for (k, tau, i), v in want.items():
+            assert sigma.get(k, tau, i) == (v if dims[i] == 1 else pytest.approx(v, rel=1e-15, abs=0))
+        ol, cl = trajectory_scores(cal, predictor, sigma)
+        open_pairs = [(0, tau) for tau in range(1, t_phi + 1)]
+        closed_pairs = [(k, k + 1) for k in range(t_phi)]
+        for tr, s_ol, s_cl in zip(cal, ol, cl):
+            pt = prediction_table(predictor, tr, t_phi)
+            for got, pairs in ((s_ol, open_pairs), (s_cl, closed_pairs)):
+                v = helpers.oracle_score(tr, pt, sigma, pairs)
+                assert got == (v if max(dims) == 1 else pytest.approx(v, rel=1e-15, abs=0))
+        return sigma
+
+    def test_random_trajectories(self):
+        rng = np.random.default_rng(21)
+        for case in range(40):
+            dims = rng.integers(1, 4, size=int(rng.integers(1, 4))).tolist()
+            t_phi = int(rng.integers(1, 6))
+            length = t_phi + int(rng.integers(0, 3))
+            n_pre = int(rng.integers(0, 3))
+
+            def traj():
+                return AgentTrajectory(
+                    tuple(np.cumsum(rng.normal(size=(length + 1, d)), axis=0) for d in dims),
+                    tuple(rng.normal(size=(n_pre, d)) for d in dims),
+                )
+
+            train, cal = [traj() for _ in range(5)], [traj() for _ in range(5)]
+            predictor = ConstantVelocityPredictor() if case % 2 else ZeroPredictor()
+            self.check(train, cal, predictor, t_phi)
+
+    def test_temperature_calibration_set(self):
+        sc = TemperatureScenario()
+        ds = gen_temperature_dataset(700, seed=0, scenario=sc, sizes=(100, 300, 300))
+        predictor = fit_predictor(ds.subset("train"), "cv")
+        self.check(ds.subset("train"), ds.subset("cal"), predictor, sc.t_phi)
+
+    def test_robot_calibration_set(self, leader_bundle):
+        b = leader_bundle
+        sigma = self.check(b.dataset.subset("train"), b.dataset.subset("cal"), b.predictor, b.sc.horizon)
+        assert sigma == b.sigma
 
 
 class TestCalibrate:
@@ -176,6 +231,15 @@ class TestCalibrate:
         assert looser.sigma is sigma and (looser.n_cal, looser.rank) == (30, conformal_rank(30, 0.4))
         assert looser.c_ol <= radii.c_ol and looser.c_cl <= radii.c_cl
 
+    def test_normalizers_compare_by_value(self):
+        train = self.make(20, 0)
+        cal = self.make(30, 1)
+        pred = ZeroPredictor()
+        a, b = (compute_normalizers(train, pred, t_phi=3) for _ in range(2))
+        assert a == b and a is not b
+        assert a != NormalizationTable(3, 2 * a.values) and a != NormalizationTable(2, a.values[:3])
+        assert calibrate(cal, pred, a, 0.2) == calibrate(cal, pred, b, 0.2)
+
     def test_insufficient_calibration_infinite(self):
         trajs = self.make(4, 2)
         sigma = compute_normalizers(trajs, ZeroPredictor(), 3)
@@ -191,7 +255,7 @@ class TestCalibrate:
             tr = mono(np.cumsum(rng.normal(0, 1, 4)))
             pt = prediction_table(ZeroPredictor(), tr, 3)
             c = float(rng.uniform(0.1, 3.0))
-            lhs = score(tr, pt, sigma, [(0, tau) for tau in range(1, 4)]) <= c
+            lhs = trajectory_scores([tr], ZeroPredictor(), sigma)[0][0] <= c
             rhs = all(
                 abs(tr.ys[0][tau, 0] - pt.get(0, tau, 0)[0]) <= c * sigma.get(0, tau, 0)
                 for tau in range(1, 4)
@@ -265,12 +329,22 @@ class TestCoverage:
         ds = _synthetic_dataset(10, 60, 60, seed=2)
         sigma = compute_normalizers(ds.subset("train"), ZeroPredictor(), t_phi=4)
         rep = validate_coverage(ds, ZeroPredictor(), sigma, 0.2, "open", 20, 30, 30, seed=0)
-        import json
-
         doc = json.loads(rep.to_json())
         assert doc["p"] == conformal_rank(30, 0.2)
         assert len(doc["per_trial_ratios"]) == 20
         assert "C_OL" in doc
+
+    def test_report_json_writes_an_infinite_quantile_as_null(self):
+        ds = _synthetic_dataset(10, 5, 10, seed=2)  # 5 cal scores: rank 6 at delta 0.15
+        sigma = compute_normalizers(ds.subset("train"), ZeroPredictor(), t_phi=4)
+        rep = validate_coverage(ds, ZeroPredictor(), sigma, 0.15, "closed", 20, 5, 5, seed=0)
+        assert math.isinf(rep.c_full)
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        doc = json.loads(rep.to_json(), parse_constant=reject)
+        assert doc["C_CL"] is None
 
     def test_pool_too_small(self):
         ds = _synthetic_dataset(5, 10, 10, seed=0)

@@ -9,6 +9,7 @@ from stlcp.prediction import (
     PredictionTable,
     TrajectoryDataset,
     export_dataset_csv,
+    pair_row,
     fit_predictor,
     load_dataset,
     load_prediction_table,
@@ -152,6 +153,37 @@ class TestTables:
             table.get(3, 3, 0)
         with pytest.raises(KeyError):
             table.set(5, 6, 0, [0.0])
+
+    def test_pair_rows_enumerate_the_pairs_in_k_tau_order(self):
+        for t_phi in range(1, 7):
+            pairs = [(k, tau) for k in range(t_phi) for tau in range(k + 1, t_phi + 1)]
+            assert [pair_row(t_phi, k, tau) for k, tau in pairs] == list(range(len(pairs)))
+            assert len(pairs) == PredictionTable(t_phi, (1,)).values.shape[0]
+        for k, tau in ((0, 0), (2, 1), (-1, 1), (0, 4)):
+            with pytest.raises(KeyError):
+                pair_row(3, k, tau)
+
+    def test_errors_are_the_entrywise_norms(self):
+        rng = np.random.default_rng(3)
+        tr = AgentTrajectory((rng.normal(size=(6, 1)), rng.normal(size=(6, 3))), (rng.normal(size=(2, 1)), rng.normal(size=(2, 3))))
+        table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=4)
+        err = table.errors(tr)
+        assert err.shape == (10, 2)
+        for k in range(4):
+            for tau in range(k + 1, 5):
+                for i in range(2):
+                    want = np.linalg.norm(tr.ys[i][tau] - table.get(k, tau, i))
+                    assert err[pair_row(4, k, tau), i] == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_errors_need_a_complete_matching_table(self):
+        tr = mono_traj([0.0, 1.0, 2.0])
+        t = PredictionTable(2, (1,))
+        t.set(0, 1, 0, [1.0])
+        with pytest.raises(ValueError, match="complete table"):
+            t.errors(tr)
+        full = prediction_table(ConstantVelocityPredictor(), tr, t_phi=2)
+        with pytest.raises(ValueError, match="trajectory's agents"):
+            full.errors(AgentTrajectory((np.zeros((3, 2)),)))
 
     def test_too_short_trajectory(self):
         tr = mono_traj([0.0, 1.0])
