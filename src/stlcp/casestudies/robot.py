@@ -29,6 +29,7 @@ from ..prediction import (
     AgentTrajectory,
     FilePredictor,
     PredictionTable,
+    row_pairs,
     split_dataset,
 )
 from ..stl import (
@@ -91,6 +92,10 @@ class RobotScenario:
         (5.7, 6.7, 2.7, 3.7),
     )
     prefix_len: int = 2
+
+    def __post_init__(self):
+        if self.horizon < 20:  # both tasks and the route hints fix windows through t = 20
+            raise ValueError(f"horizon must be at least 20, where the robot tasks end; got {self.horizon}")
 
     @property
     def a_mat(self) -> np.ndarray:
@@ -446,15 +451,10 @@ def mean_path_predictor(train: Sequence[AgentTrajectory], t_phi: int) -> FilePre
     """
     if not train:
         raise ValueError("no training trajectories")
-    n_agents = train[0].n_agents
-    means = [np.mean([tr.ys[i] for tr in train], axis=0) for i in range(n_agents)]
+    means = [np.mean([tr.ys[i] for tr in train], axis=0) for i in range(train[0].n_agents)]
     if len(means[0]) < t_phi + 1:
         raise ValueError("training trajectories shorter than the horizon")
-    table = PredictionTable(t_phi, train[0].dims)
-    for k in range(t_phi):
-        for i in range(n_agents):
-            table.set_rows(k, i, means[i][k + 1 : t_phi + 1])
-    return FilePredictor(table)
+    return FilePredictor(PredictionTable.full(t_phi, train[0].dims, np.hstack(means)[row_pairs(t_phi)[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +500,7 @@ def run_follower_experiment(
 
     spec, _ = build_robot_specs(sc)
     sys = robot_system(sc)
-    table = predictor.table
-
-    def preds_at(k: int) -> dict[tuple[int, int], np.ndarray]:
-        return {(tau, 0): table.get(k, tau, 0) for tau in range(k + 1, t_phi + 1)}
-
+    preds_at = predictor.table.row  # predictions made at k, keyed (tau, agent)
     base = synthesize_open_loop(
         sys, spec, {0: sc.start_pos}, preds_at(0),
         lambda tau, i: radii.closed_radius(0, tau, i),

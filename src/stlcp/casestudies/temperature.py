@@ -78,6 +78,8 @@ class TemperatureScenario:
             raise ValueError("heater temperature must exceed the state box")
         if not self.pref_lo < self.pref_hi:
             raise ValueError("empty preference range")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1, where the comfort window starts; got {self.horizon}")
 
     @property
     def t_phi(self) -> int:

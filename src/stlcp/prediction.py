@@ -1,11 +1,12 @@
 """Agent trajectory datasets and trajectory predictors.
 
-A predictor maps the observed history of every agent at time k to point
-predictions yhat_{tau|k} for all remaining times tau = k+1..T.  Prediction
-quality only affects how conservative the downstream conformal regions are,
-never their validity, so simple models are acceptable here: a constant
-velocity extrapolator, a per-dimension autoregressive least-squares fit, and
-a file-backed table for predictions computed by an external model.
+A predictor fills one trajectory's whole prediction table in one call: the
+point predictions yhat_{tau|k,i} every agent i gets at each time k from its
+observations through k, for every later time tau up to the horizon.
+Prediction quality only affects how conservative the downstream conformal
+regions are, never their validity, so simple models are acceptable here: a
+constant velocity extrapolator, a per-dimension autoregressive least-squares
+fit, and a file-backed table for predictions computed by an external model.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class AgentTrajectory:
     def prefix_len(self) -> int:
         return self.prefix[0].shape[0]
 
-    def history(self, k: int) -> list[np.ndarray]:
-        """Prefix plus observations through time k, per agent."""
-        if k < 0 or k > self.length:
-            raise ValueError(f"k={k} outside trajectory")
-        return [np.vstack([p, y[: k + 1]]) for p, y in zip(self.prefix, self.ys)]
-
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
@@ -124,6 +119,11 @@ def pair_row(t_phi: int, k: int, tau: int) -> int:
     return k * t_phi - k * (k - 1) // 2 + tau - k - 1
 
 
+def row_pairs(t_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, taus): the pair (k, tau) of every row in row order, the inverse of pair_row."""
+    return np.triu_indices(t_phi + 1, 1)
+
+
 class PredictionTable:
     """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi.
 
@@ -140,6 +140,16 @@ class PredictionTable:
         self.values = np.zeros((n_rows, self._start[-1]))
         self.known = np.zeros((n_rows, len(self.dims)), dtype=bool)
 
+    @classmethod
+    def full(cls, t_phi: int, dims: tuple[int, ...], values) -> PredictionTable:
+        """The complete table whose values are given, one row per pair in row order."""
+        table = cls(t_phi, dims)
+        if np.shape(values) != table.values.shape:
+            raise ValueError("prediction dimension mismatch")
+        table.values[:] = values
+        table.known[:] = True
+        return table
+
     def set(self, k: int, tau: int, agent: int, value) -> None:
         v = np.asarray(value, dtype=float).reshape(-1)
         if v.shape[0] != self.dims[agent]:
@@ -147,15 +157,6 @@ class PredictionTable:
         r = pair_row(self.t_phi, k, tau)
         self.values[r, self._start[agent] : self._start[agent + 1]] = v
         self.known[r, agent] = True
-
-    def set_rows(self, k: int, agent: int, rows) -> None:
-        """Predictions made at time k for tau = k+1..t_phi, one row each."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape != (self.t_phi - k, self.dims[agent]):
-            raise ValueError("prediction dimension mismatch")
-        block = slice(pair_row(self.t_phi, k, k + 1), pair_row(self.t_phi, k, self.t_phi) + 1)
-        self.values[block, self._start[agent] : self._start[agent + 1]] = rows
-        self.known[block, agent] = True
 
     def get(self, k: int, tau: int, agent: int) -> np.ndarray:
         r = pair_row(self.t_phi, k, tau)
@@ -182,40 +183,39 @@ class PredictionTable:
         of every entry against the realized trajectory."""
         if traj.dims != self.dims or not self.is_complete():
             raise ValueError("errors need a complete table of the trajectory's agents")
-        taus = [tau for k in range(self.t_phi) for tau in range(k + 1, self.t_phi + 1)]
-        diff = (np.hstack(traj.ys)[taus] - self.values)[:, None, :]
+        diff = (np.hstack(traj.ys)[row_pairs(self.t_phi)[1]] - self.values)[:, None, :]
         # one dot product per entry, the one np.linalg.norm of the entry takes
         sq = [diff[..., a:b] @ diff[..., a:b].transpose(0, 2, 1) for a, b in zip(self._start, self._start[1:])]
         return np.sqrt(np.concatenate(sq, axis=2)[:, 0])
 
 
 def prediction_table(predictor, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
-    """Run a predictor at every step k of one trajectory."""
+    """The predictor's complete table for one trajectory: yhat_{tau|k,i}
+    for every pair k < tau <= t_phi, made from observations through k."""
     if traj.length < t_phi:
         raise ValueError(f"trajectory of length {traj.length} too short for horizon {t_phi}")
-    table = PredictionTable(t_phi, traj.dims)
-    for k in range(t_phi):
-        preds = predictor.predict(traj.history(k), k, t_phi)
-        for i, rows in enumerate(preds):
-            table.set_rows(k, i, rows)
-    return table
+    return predictor.table_for(traj, t_phi)
+
+
+def _series(traj: AgentTrajectory) -> np.ndarray:
+    """Prefix then observations, agents side by side: row prefix_len + t is time t."""
+    return np.vstack([np.hstack(traj.prefix), np.hstack(traj.ys)])
 
 
 # ---------------------------------------------------------------------------
-# predictors
+# predictors: table_for(traj, t_phi) fills the table of a long enough trajectory
 
 
 class ConstantVelocityPredictor:
     """Extrapolates each agent linearly from its last two observations."""
 
-    def predict(self, history: list[np.ndarray], k: int, t_phi: int) -> list[np.ndarray]:
-        out = []
-        for h in history:
-            last = h[-1]
-            vel = last - h[-2] if h.shape[0] >= 2 else np.zeros_like(last)
-            steps = np.arange(1, t_phi - k + 1)[:, None]
-            out.append(last[None, :] + steps * vel[None, :])
-        return out
+    def table_for(self, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
+        series, h = _series(traj), traj.prefix_len
+        last = series[h : h + t_phi]  # last[k]: the observation at time k
+        # vel[k] = last[k] - the observation before it; with no prefix, k = 0 keeps zero velocity
+        vel = np.diff(np.vstack([series[max(h - 1, 0)], last]), axis=0)
+        ks, taus = row_pairs(t_phi)
+        return PredictionTable.full(t_phi, traj.dims, last[ks] + (taus - ks)[:, None] * vel[ks])
 
 
 class ArPredictor:
@@ -231,26 +231,25 @@ class ArPredictor:
         self.order = order
         self.coeffs = coeffs
 
-    def predict(self, history: list[np.ndarray], k: int, t_phi: int) -> list[np.ndarray]:
+    def table_for(self, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
         p = self.order
-        out = []
-        for i, h in enumerate(history):
-            if h.shape[0] < p:
-                raise ValueError(
-                    f"ar({p}) needs {p} observations, agent {i} has {h.shape[0]}"
-                )
-            d = h.shape[1]
-            window = h[-p:].copy()  # rows: oldest..newest
-            rows = np.empty((t_phi - k, d))
-            for j in range(t_phi - k):
-                nxt = np.empty(d)
-                for dd in range(d):
-                    c = self.coeffs[i][dd]
-                    nxt[dd] = float(np.dot(c[:p], window[::-1, dd]) + c[p])
-                rows[j] = nxt
-                window = np.vstack([window[1:], nxt[None, :]])
-            out.append(rows)
-        return out
+        series, h = _series(traj), traj.prefix_len
+        table = PredictionTable(t_phi, traj.dims)
+        for k in range(t_phi):
+            seen = h + k + 1  # observations through time k
+            for i, (a, b) in enumerate(zip(table._start, table._start[1:])):
+                if seen < p:
+                    raise ValueError(f"ar({p}) needs {p} observations, agent {i} has {seen}")
+                window = series[seen - p : seen, a:b].copy()  # rows: oldest..newest
+                for j in range(t_phi - k):
+                    nxt = np.empty(b - a)
+                    for dd in range(b - a):
+                        c = self.coeffs[i][dd]
+                        nxt[dd] = float(np.dot(c[:p], window[::-1, dd]) + c[p])
+                    table.values[pair_row(t_phi, k, k + 1 + j), a:b] = nxt
+                    window = np.vstack([window[1:], nxt[None, :]])
+        table.known[:] = True
+        return table
 
 
 class FilePredictor:
@@ -262,14 +261,16 @@ class FilePredictor:
             raise ValueError("prediction table is incomplete")
         self.table = table
 
-    def predict(self, history: list[np.ndarray], k: int, t_phi: int) -> list[np.ndarray]:
+    def table_for(self, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
+        """The stored table itself at its own horizon, callers only read it;
+        a shorter horizon gets the rows of its pairs, tau <= t_phi."""
         if t_phi > self.table.t_phi:
             raise ValueError("table horizon too short")
-        out = []
-        for i in range(len(self.table.dims)):
-            rows = [self.table.get(k, tau, i) for tau in range(k + 1, t_phi + 1)]
-            out.append(np.array(rows))
-        return out
+        if traj.dims != self.table.dims:
+            raise ValueError("prediction dimension mismatch")
+        if t_phi == self.table.t_phi:
+            return self.table
+        return PredictionTable.full(t_phi, traj.dims, self.table.values[row_pairs(self.table.t_phi)[1] <= t_phi])
 
 
 def fit_predictor(train: Sequence[AgentTrajectory], kind: str):

@@ -16,7 +16,7 @@ from stlcp import encoding, stl
 from stlcp.conformal import SIGMA_MIN
 from stlcp.encoding import EncodingError
 from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT, MilpModel, Solution, _Arrays, _solve_fixed
-from stlcp.prediction import prediction_table
+from stlcp.prediction import PredictionTable, prediction_table
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,66 @@ def random_trajectory(rng, length, n_x=1, agent_dims=(1,), granularity=0.25):
     xs = granularity * rng.integers(-8, 9, size=(length + 1, n_x))
     ys = tuple(granularity * rng.integers(-8, 9, size=(length + 1, d)) for d in agent_dims)
     return stl.JointTrajectory(xs.astype(float), tuple(y.astype(float) for y in ys))
+
+
+# ---------------------------------------------------------------------------
+# per-k prediction oracles: each predictor rebuilt as a function of the
+# history observed at one time k, and the table filled one k at a time
+
+
+def oracle_history(traj, k):
+    """Prefix plus observations through time k, per agent."""
+    return [np.vstack([p, y[: k + 1]]) for p, y in zip(traj.prefix, traj.ys)]
+
+
+def oracle_cv_predict(history, k, t_phi):
+    """Constant velocity from each agent's last two observations; one
+    observation holds still."""
+    out = []
+    for h in history:
+        last = h[-1]
+        vel = last - h[-2] if h.shape[0] >= 2 else np.zeros_like(last)
+        steps = np.arange(1, t_phi - k + 1)[:, None]
+        out.append(last[None, :] + steps * vel[None, :])
+    return out
+
+
+def oracle_ar_predict(order, coeffs, history, k, t_phi):
+    """AR(order) per agent and dimension, feeding predictions back."""
+    p = order
+    out = []
+    for i, h in enumerate(history):
+        if h.shape[0] < p:
+            raise ValueError(f"ar({p}) needs {p} observations, agent {i} has {h.shape[0]}")
+        d = h.shape[1]
+        window = h[-p:].copy()  # rows: oldest..newest
+        rows = np.empty((t_phi - k, d))
+        for j in range(t_phi - k):
+            nxt = np.empty(d)
+            for dd in range(d):
+                c = coeffs[i][dd]
+                nxt[dd] = float(np.dot(c[:p], window[::-1, dd]) + c[p])
+            rows[j] = nxt
+            window = np.vstack([window[1:], nxt[None, :]])
+        out.append(rows)
+    return out
+
+
+def oracle_file_predict(table, history, k, t_phi):
+    """The stored table's entries for the pairs (k, tau <= t_phi)."""
+    if t_phi > table.t_phi:
+        raise ValueError("table horizon too short")
+    return [np.array([table.get(k, tau, i) for tau in range(k + 1, t_phi + 1)]) for i in range(len(table.dims))]
+
+
+def oracle_table(predict, traj, t_phi):
+    """predict(history(k), k, t_phi) at every k < t_phi, set entry by entry."""
+    table = PredictionTable(t_phi, traj.dims)
+    for k in range(t_phi):
+        for i, rows in enumerate(predict(oracle_history(traj, k), k, t_phi)):
+            for j, y in enumerate(rows):
+                table.set(k, k + 1 + j, i, y)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,18 @@ class TestConfig:
         assert "unknown keys" in capsys.readouterr().err
 
     def test_scenario_rejecting_an_override_is_a_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", scenario="temperature", overrides={"t_heater": 10.0})
-        out = tmp_path / "o"
-        assert run("gen-data", "--config", cfg, "--out", str(out)) == 2
-        assert "config error: heater temperature must exceed the state box" in capsys.readouterr().err
-        assert not out.exists()
+        # the horizons end before their scenario's task windows do
+        for j, (command, scenario, overrides, message) in enumerate([
+            ("gen-data", "temperature", {"t_heater": 10.0}, "heater temperature must exceed the state box"),
+            ("synth-open", "temperature", {"horizon": 0}, "horizon must be at least 1"),
+            ("synth-open", "robot", {"horizon": 15}, "horizon must be at least 20"),
+            ("synth-open", "robot", {"horizon": 19}, "horizon must be at least 20"),
+        ]):
+            cfg = write_config(tmp_path / f"c{j}.json", scenario=scenario, sizes=[10, 10, 5], overrides=overrides)
+            out = tmp_path / f"o{j}"
+            assert run(command, "--config", cfg, "--out", str(out)) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, field, value, label", [
         ("gen-data", "seed", 1.5, "seed:"),
@@ -166,6 +173,26 @@ class TestPipeline:
         doc = json.loads((out / "predictor.json").read_text())
         assert doc == {"kind": "mean-path", "table": "predictions.json"}
         assert (out / "predictions.json").exists()
+
+    def test_calibrate_from_a_predictions_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **SMALL_ROBOT)
+        direct = tmp_path / "direct"
+        assert run("fit", "--config", cfg, "--out", str(direct)) == 0
+        assert run("calibrate", "--config", cfg, "--out", str(direct)) == 0
+        table, dataset = str(direct / "predictions.json"), str(direct / "dataset.json")
+        cfg = write_config(tmp_path / "f.json", **SMALL_ROBOT, dataset=dataset, predictions=table)
+        from_file = tmp_path / "from_file"
+        assert run("calibrate", "--config", cfg, "--out", str(from_file)) == 0
+        want = json.loads((direct / "calibration.json").read_text())
+        got = json.loads((from_file / "calibration.json").read_text())
+        assert (got["C_OL"], got["C_CL"]) == (want["C_OL"], want["C_CL"])
+        for name in ("open_radii.csv", "closed_radii.csv"):
+            assert (from_file / name).read_text() == (direct / name).read_text()
+        # the robot's 2-d leader table cannot predict the temperature rooms
+        cfg = write_config(tmp_path / "t.json", **SMALL_TEMP, predictions=table)
+        capsys.readouterr()
+        assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "temp")) == 1
+        assert "error: prediction dimension mismatch" in capsys.readouterr().err
 
     def test_synth_open_artifacts_and_radius_passthrough(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", **SMALL_TEMP)

@@ -22,6 +22,7 @@ from stlcp.casestudies.temperature import TemperatureScenario, gen_temperature_d
 from stlcp.prediction import (
     AgentTrajectory,
     ConstantVelocityPredictor,
+    PredictionTable,
     TrajectoryDataset,
     fit_predictor,
     prediction_table,
@@ -34,8 +35,8 @@ import helpers
 class ZeroPredictor:
     """Predicts 0 everywhere; handy for making errors equal the data."""
 
-    def predict(self, history, k, t_phi):
-        return [np.zeros((t_phi - k, h.shape[1])) for h in history]
+    def table_for(self, traj, t_phi):
+        return PredictionTable.full(t_phi, traj.dims, np.zeros((t_phi * (t_phi + 1) // 2, sum(traj.dims))))
 
 
 def mono(values):
@@ -304,8 +305,8 @@ class TestCoverage:
         # validity is predictor-agnostic: a terrible predictor inflates the
         # radii but the empirical coverage stays in the band
         class Bad:
-            def predict(self, history, k, t_phi):
-                return [np.full((t_phi - k, h.shape[1]), 999.0) for h in history]
+            def table_for(self, traj, t_phi):
+                return PredictionTable.full(t_phi, traj.dims, np.full((t_phi * (t_phi + 1) // 2, sum(traj.dims)), 999.0))
 
         ds = _synthetic_dataset(30, 150, 300, seed=6)
         sigma = compute_normalizers(ds.subset("train"), Bad(), t_phi=4)

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+import helpers
 from stlcp.prediction import (
     AgentTrajectory,
     ArPredictor,
@@ -11,6 +14,7 @@ from stlcp.prediction import (
     export_dataset_csv,
     pair_row,
     fit_predictor,
+    row_pairs,
     load_dataset,
     load_prediction_table,
     prediction_table,
@@ -57,19 +61,21 @@ class TestConstantVelocity:
     def test_linear_extrapolation(self):
         # spec example: last two states 0,1 -> yhat_{k+j} = 1 + j
         tr = mono_traj([0.0, 1.0, 9.0, 9.0, 9.0])
-        pred = ConstantVelocityPredictor()
-        rows = pred.predict(tr.history(1), k=1, t_phi=4)[0]
-        assert rows[:, 0].tolist() == [2.0, 3.0, 4.0]
+        table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=4)
+        assert [table.get(1, tau, 0)[0] for tau in (2, 3, 4)] == [2.0, 3.0, 4.0]
 
     def test_single_observation_holds(self):
         tr = mono_traj([5.0, 0.0, 0.0])
-        rows = ConstantVelocityPredictor().predict(tr.history(0), 0, 2)[0]
-        assert rows[:, 0].tolist() == [5.0, 5.0]
+        table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=2)
+        assert [table.get(0, tau, 0)[0] for tau in (1, 2)] == [5.0, 5.0]
 
     def test_horizon_zero_steps(self):
+        # k = t_phi predicts nothing: the table's only row is (0, 1)
         tr = mono_traj([1.0, 2.0])
-        rows = ConstantVelocityPredictor().predict(tr.history(1), 1, 1)[0]
-        assert rows.shape == (0, 1)
+        table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=1)
+        assert table.values.shape == (1, 1) and table.get(0, 1, 0)[0] == 1.0
+        with pytest.raises(KeyError):
+            table.get(1, 2, 0)
 
 
 class TestAr:
@@ -87,13 +93,13 @@ class TestAr:
         assert abs(pred.coeffs[0][0][0] - 0.5) <= 1e-9
         assert abs(pred.coeffs[0][0][1] - 0.25) <= 1e-9
         assert abs(pred.coeffs[0][0][2]) <= 1e-8
-        rows = pred.predict([np.array([[1.0], [2.0]])], 0, 3)[0]
-        assert np.allclose(rows[:, 0], [1.25, 1.125, 0.875], atol=1e-8)
+        table = prediction_table(pred, mono_traj([2.0, 0.0, 0.0, 0.0], prefix=[1.0]), t_phi=3)
+        assert np.allclose([table.get(0, tau, 0)[0] for tau in (1, 2, 3)], [1.25, 1.125, 0.875], atol=1e-8)
 
     def test_insufficient_history_raises(self):
         pred = ArPredictor(3, [[np.array([0.0, 0.0, 0.0, 0.0])]])
-        with pytest.raises(ValueError, match="needs 3 observations"):
-            pred.predict([np.array([[1.0], [2.0]])], 0, 3)
+        with pytest.raises(ValueError, match="needs 3 observations, agent 0 has 2"):
+            prediction_table(pred, mono_traj([2.0, 0.0, 0.0, 0.0], prefix=[1.0]), t_phi=3)
 
     def test_degenerate_falls_back(self):
         # constant series: column of ones collinear with lag columns
@@ -105,9 +111,9 @@ class TestAr:
     def test_prefix_supplies_history_at_k0(self):
         pred = ArPredictor(2, [[np.array([2.0, -1.0, 0.0])]])
         tr = mono_traj([3.0, 0.0], prefix=[2.0])
-        rows = pred.predict(tr.history(0), 0, 1)[0]
+        table = prediction_table(pred, tr, t_phi=1)
         # 2*3 - 1*2 = 4
-        assert rows[0, 0] == pytest.approx(4.0)
+        assert table.get(0, 1, 0)[0] == pytest.approx(4.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown predictor kind"):
@@ -129,8 +135,20 @@ class TestTables:
         save_prediction_table(table, path)
         loaded = load_prediction_table(path)
         fp = FilePredictor(loaded)
-        rows = fp.predict(tr.history(1), 1, 3)[0]
-        assert np.allclose(rows[:, 0], [table.get(1, 2, 0)[0], table.get(1, 3, 0)[0]])
+        assert prediction_table(fp, tr, t_phi=3) is loaded
+        assert np.array_equal(loaded.values, table.values) and loaded.is_complete()
+        short = prediction_table(fp, tr, t_phi=2)
+        assert [short.get(1, 2, 0)[0], short.get(0, 2, 0)[0]] == [table.get(1, 2, 0)[0], table.get(0, 2, 0)[0]]
+
+    def test_file_predictor_errors(self):
+        tr = mono_traj([0.0, 1.0, 2.0, 3.0])
+        fp = FilePredictor(prediction_table(ConstantVelocityPredictor(), tr, t_phi=2))
+        with pytest.raises(ValueError, match="table horizon too short"):
+            prediction_table(fp, tr, t_phi=3)
+        with pytest.raises(ValueError, match="prediction dimension mismatch"):
+            prediction_table(fp, AgentTrajectory((np.zeros((4, 2)),)), t_phi=2)
+        with pytest.raises(ValueError, match="prediction dimension mismatch"):
+            PredictionTable.full(2, (1,), np.zeros((3, 2)))
 
     def test_incomplete_table_rejected(self):
         t = PredictionTable(2, (1,))
@@ -163,6 +181,12 @@ class TestTables:
             with pytest.raises(KeyError):
                 pair_row(3, k, tau)
 
+    def test_row_pairs_invert_pair_row(self):
+        for t_phi in range(0, 7):
+            ks, taus = row_pairs(t_phi)
+            assert len(ks) == PredictionTable(t_phi, (1,)).values.shape[0]
+            assert [pair_row(t_phi, int(k), int(tau)) for k, tau in zip(ks, taus)] == list(range(len(ks)))
+
     def test_errors_are_the_entrywise_norms(self):
         rng = np.random.default_rng(3)
         tr = AgentTrajectory((rng.normal(size=(6, 1)), rng.normal(size=(6, 3))), (rng.normal(size=(2, 1)), rng.normal(size=(2, 3))))
@@ -189,6 +213,60 @@ class TestTables:
         tr = mono_traj([0.0, 1.0])
         with pytest.raises(ValueError, match="too short"):
             prediction_table(ConstantVelocityPredictor(), tr, t_phi=5)
+
+
+def random_trajectory(rng, prefix_len, dims, length):
+    return AgentTrajectory(
+        tuple(rng.normal(size=(length + 1, d)) for d in dims),
+        tuple(rng.normal(size=(prefix_len, d)) for d in dims) if prefix_len else (),
+    )
+
+
+def random_cases(seed, n=30):
+    """(trajectory, t_phi): prefix lengths 0, 1, 3, one to three agents of
+    one to three dims, t_phi 1..6, trajectories up to two steps longer."""
+    rng = np.random.default_rng(seed)
+    for j in range(n):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        t_phi = int(rng.integers(1, 7))
+        yield random_trajectory(rng, (0, 1, 3)[j % 3], dims, t_phi + int(rng.integers(0, 3))), t_phi
+
+
+class TestAgainstPerKOracle:
+    """Each predictor's one-call table equals, bit for bit, the table filled
+    one k at a time from the history observed at k."""
+
+    def test_constant_velocity(self):
+        for tr, t_phi in random_cases(0):
+            want = helpers.oracle_table(helpers.oracle_cv_predict, tr, t_phi)
+            got = prediction_table(ConstantVelocityPredictor(), tr, t_phi)
+            assert want.is_complete() and got.is_complete()
+            assert np.array_equal(got.values, want.values)
+
+    def test_fitted_ar(self):
+        for tr, t_phi in random_cases(1):
+            rng = np.random.default_rng(t_phi)
+            train = [random_trajectory(rng, tr.prefix_len, tr.dims, 8) for _ in range(4)]
+            pred = fit_predictor(train, "ar")
+            assert isinstance(pred, ArPredictor)
+            oracle = functools.partial(helpers.oracle_ar_predict, pred.order, pred.coeffs)
+            if tr.prefix_len == 0:  # a single observation at k = 0: both refuse alike
+                for fill in (functools.partial(helpers.oracle_table, oracle), functools.partial(prediction_table, pred)):
+                    with pytest.raises(ValueError, match=r"ar\(2\) needs 2 observations, agent 0 has 1"):
+                        fill(tr, t_phi)
+                continue
+            assert np.array_equal(prediction_table(pred, tr, t_phi).values, helpers.oracle_table(oracle, tr, t_phi).values)
+
+    def test_file_predictor_at_every_shorter_horizon(self):
+        for tr, t_phi in random_cases(2):
+            stored = prediction_table(ConstantVelocityPredictor(), tr, t_phi)
+            fp = FilePredictor(stored)
+            for h in range(1, t_phi + 1):
+                want = helpers.oracle_table(functools.partial(helpers.oracle_file_predict, stored), tr, h)
+                got = prediction_table(fp, tr, h)
+                assert got.t_phi == h and got.is_complete()
+                assert np.array_equal(got.values, want.values)
+            assert prediction_table(fp, tr, t_phi) is stored
 
 
 class TestSerialization:
