@@ -96,6 +96,9 @@ class RobotScenario:
     def __post_init__(self):
         if self.horizon < 20:  # both tasks and the route hints fix windows through t = 20
             raise ValueError(f"horizon must be at least 20, where the robot tasks end; got {self.horizon}")
+        lo, hi = self.state_box
+        if not all(a <= x <= b for a, x, b in zip(lo, self.x0, hi)):
+            raise ValueError(f"x0 must lie inside the state box; got {self.x0}")
 
     @property
     def a_mat(self) -> np.ndarray:
@@ -454,7 +457,7 @@ def mean_path_predictor(train: Sequence[AgentTrajectory], t_phi: int) -> FilePre
     means = [np.mean([tr.ys[i] for tr in train], axis=0) for i in range(train[0].n_agents)]
     if len(means[0]) < t_phi + 1:
         raise ValueError("training trajectories shorter than the horizon")
-    return FilePredictor(PredictionTable.full(t_phi, train[0].dims, np.hstack(means)[row_pairs(t_phi)[1]]))
+    return FilePredictor(PredictionTable(t_phi, train[0].dims, np.hstack(means)[row_pairs(t_phi)[1]]))
 
 
 # ---------------------------------------------------------------------------

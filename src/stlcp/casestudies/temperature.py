@@ -58,8 +58,6 @@ class TemperatureScenario:
     x0: float = 5.0
     temp_lo: float = 0.0
     temp_hi: float = 45.0
-    u_lo: float = 0.0
-    u_hi: float = 1.0
     delta: float = 0.15
     horizon: int = 12  # end of the comfort window; lookahead adds the F[0,2] tail
     comfort_gap: float = 5.0
@@ -76,8 +74,12 @@ class TemperatureScenario:
     def __post_init__(self):
         if self.t_heater <= self.temp_hi:
             raise ValueError("heater temperature must exceed the state box")
+        if not self.temp_lo <= self.x0 <= self.temp_hi:
+            raise ValueError(f"x0 must lie in [temp_lo, temp_hi] = [{self.temp_lo}, {self.temp_hi}]; got {self.x0}")
         if not self.pref_lo < self.pref_hi:
             raise ValueError("empty preference range")
+        if self.events_max < 1:
+            raise ValueError(f"events_max must be at least 1, the first group entering; got {self.events_max}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, where the comfort window starts; got {self.horizon}")
 

@@ -129,7 +129,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             errs.append(f"{name}: must be an integer >= {least}, got {v!r}")
     for name in ("dataset", "predictions"):
         path = getattr(cfg, name)
-        if path is not None and not os.path.exists(path):
+        if path is not None and not os.path.isfile(path):
             errs.append(f"{name}: file not found: {path}")
     if cfg.overrides:
         cls = TemperatureScenario if cfg.scenario == "temperature" else RobotScenario

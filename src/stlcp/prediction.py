@@ -7,6 +7,7 @@ Prediction quality only affects how conservative the downstream conformal
 regions are, never their validity, so simple models are acceptable here: a
 constant velocity extrapolator, a per-dimension autoregressive least-squares
 fit, and a file-backed table for predictions computed by an external model.
+A table is built whole, and the file loaders raise ValueError on bad input.
 """
 
 from __future__ import annotations
@@ -35,20 +36,17 @@ class AgentTrajectory:
         # copies, so freezing them leaves the caller's arrays writeable
         ys = tuple(np.array(y, dtype=float, order="C") for y in self.ys)
         ys = tuple(y[:, None] if y.ndim == 1 else y for y in ys)
+        if not ys:
+            raise ValueError("a trajectory needs at least one agent")
         T = ys[0].shape[0]
         if any(y.shape[0] != T for y in ys):
             raise ValueError("agents must share trajectory length")
-        pre = self.prefix
-        if not pre:
-            pre = tuple(np.zeros((0, y.shape[1])) for y in ys)
-        pre = tuple(np.array(p, dtype=float, order="C") for p in pre)
+        pre = tuple(np.array(p, dtype=float, order="C") for p in self.prefix or [np.zeros((0, y.shape[1])) for y in ys])
         pre = tuple(p[:, None] if p.ndim == 1 else p for p in pre)
         if len(pre) != len(ys):
             raise ValueError("prefix must cover every agent")
-        h = pre[0].shape[0]
-        for p, y in zip(pre, ys):
-            if p.shape[0] != h or p.shape[1] != y.shape[1]:
-                raise ValueError("prefix shape mismatch")
+        if any(p.shape != (pre[0].shape[0], y.shape[1]) for p, y in zip(pre, ys)):
+            raise ValueError("prefix shape mismatch")
         for a in ys + pre:
             a.flags.writeable = False
         object.__setattr__(self, "ys", ys)
@@ -81,9 +79,11 @@ class TrajectoryDataset:
     def __post_init__(self):
         if len(self.split) != len(self.trajectories):
             raise ValueError("one split tag per trajectory required")
-        bad = set(self.split) - {"train", "cal", "test"}
+        bad = [tag for tag in self.split if tag not in ("train", "cal", "test")]
         if bad:
-            raise ValueError(f"unknown split tags {sorted(bad)}")
+            raise ValueError(f"unknown split tag {bad[0]!r}")
+        if len({tr.dims for tr in self.trajectories}) > 1:
+            raise ValueError("the trajectories must share their agents and dims")
 
     def subset(self, tag: str) -> list[AgentTrajectory]:
         return [t for t, s in zip(self.trajectories, self.split) if s == tag]
@@ -125,64 +125,35 @@ def row_pairs(t_phi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PredictionTable:
-    """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi.
+    """Point predictions yhat_{tau|k,i} for 0 <= k < tau <= t_phi, all of them.
 
-    One array holds them all, a row per pair k < tau (see pair_row):
-    values[row] concatenates the agents' predictions, and known[row, i]
-    marks the entries set.  A closed-loop run keeps its table, and a dict of
-    one small array per entry cost about twenty times the memory."""
+    One array holds them, a row per pair k < tau (see pair_row): values[row]
+    concatenates the agents' predictions.  A table is built whole from that
+    array, so every entry is set.  A closed-loop run keeps its table, and a
+    dict of one small array per entry cost about twenty times the memory."""
 
-    def __init__(self, t_phi: int, dims: tuple[int, ...]):
+    def __init__(self, t_phi: int, dims: tuple[int, ...], values):
         self.t_phi = t_phi
         self.dims = tuple(dims)
         self._start = [0] + np.cumsum(self.dims).tolist()
-        n_rows = t_phi * (t_phi + 1) // 2
-        self.values = np.zeros((n_rows, self._start[-1]))
-        self.known = np.zeros((n_rows, len(self.dims)), dtype=bool)
-
-    @classmethod
-    def full(cls, t_phi: int, dims: tuple[int, ...], values) -> PredictionTable:
-        """The complete table whose values are given, one row per pair in row order."""
-        table = cls(t_phi, dims)
-        if np.shape(values) != table.values.shape:
+        if np.shape(values) != (t_phi * (t_phi + 1) // 2, self._start[-1]):
             raise ValueError("prediction dimension mismatch")
-        table.values[:] = values
-        table.known[:] = True
-        return table
-
-    def set(self, k: int, tau: int, agent: int, value) -> None:
-        v = np.asarray(value, dtype=float).reshape(-1)
-        if v.shape[0] != self.dims[agent]:
-            raise ValueError("prediction dimension mismatch")
-        r = pair_row(self.t_phi, k, tau)
-        self.values[r, self._start[agent] : self._start[agent + 1]] = v
-        self.known[r, agent] = True
+        self.values = np.array(values, dtype=float, order="C")
 
     def get(self, k: int, tau: int, agent: int) -> np.ndarray:
-        r = pair_row(self.t_phi, k, tau)
-        if not self.known[r, agent]:
-            raise KeyError((k, tau, agent))
-        return self.values[r, self._start[agent] : self._start[agent + 1]]
+        return self.values[pair_row(self.t_phi, k, tau), self._start[agent] : self._start[agent + 1]]
 
     def row(self, k: int) -> dict[tuple[int, int], np.ndarray]:
         """Predictions made at time k, keyed by (tau, agent)."""
-        block = slice(pair_row(self.t_phi, k, k + 1), pair_row(self.t_phi, k, self.t_phi) + 1)
-        values, known = self.values[block], self.known[block].tolist()
-        return {
-            (k + 1 + j, i): values[j, self._start[i] : self._start[i + 1]]
-            for j in range(self.t_phi - k)
-            for i in range(len(self.dims))
-            if known[j][i]
-        }
-
-    def is_complete(self) -> bool:
-        return bool(self.known.all())
+        block = self.values[pair_row(self.t_phi, k, k + 1) :]
+        agents = list(enumerate(zip(self._start, self._start[1:])))
+        return {(k + 1 + j, i): block[j, a:b] for j in range(self.t_phi - k) for i, (a, b) in agents}
 
     def errors(self, traj: AgentTrajectory) -> np.ndarray:
         """err[row, i] = ||Y_{tau,i} - yhat_{tau|k,i}||, the prediction error
         of every entry against the realized trajectory."""
-        if traj.dims != self.dims or not self.is_complete():
-            raise ValueError("errors need a complete table of the trajectory's agents")
+        if traj.dims != self.dims:
+            raise ValueError("errors need a table of the trajectory's agents")
         diff = (np.hstack(traj.ys)[row_pairs(self.t_phi)[1]] - self.values)[:, None, :]
         # one dot product per entry, the one np.linalg.norm of the entry takes
         sq = [diff[..., a:b] @ diff[..., a:b].transpose(0, 2, 1) for a, b in zip(self._start, self._start[1:])]
@@ -215,7 +186,7 @@ class ConstantVelocityPredictor:
         # vel[k] = last[k] - the observation before it; with no prefix, k = 0 keeps zero velocity
         vel = np.diff(np.vstack([series[max(h - 1, 0)], last]), axis=0)
         ks, taus = row_pairs(t_phi)
-        return PredictionTable.full(t_phi, traj.dims, last[ks] + (taus - ks)[:, None] * vel[ks])
+        return PredictionTable(t_phi, traj.dims, last[ks] + (taus - ks)[:, None] * vel[ks])
 
 
 class ArPredictor:
@@ -234,22 +205,19 @@ class ArPredictor:
     def table_for(self, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
         p = self.order
         series, h = _series(traj), traj.prefix_len
-        table = PredictionTable(t_phi, traj.dims)
+        start = [0] + np.cumsum(traj.dims).tolist()
+        values = np.zeros((t_phi * (t_phi + 1) // 2, start[-1]))
         for k in range(t_phi):
             seen = h + k + 1  # observations through time k
-            for i, (a, b) in enumerate(zip(table._start, table._start[1:])):
+            for i, (a, b) in enumerate(zip(start, start[1:])):
                 if seen < p:
                     raise ValueError(f"ar({p}) needs {p} observations, agent {i} has {seen}")
                 window = series[seen - p : seen, a:b].copy()  # rows: oldest..newest
                 for j in range(t_phi - k):
-                    nxt = np.empty(b - a)
-                    for dd in range(b - a):
-                        c = self.coeffs[i][dd]
-                        nxt[dd] = float(np.dot(c[:p], window[::-1, dd]) + c[p])
-                    table.values[pair_row(t_phi, k, k + 1 + j), a:b] = nxt
+                    nxt = np.array([float(np.dot(c[:p], window[::-1, dd]) + c[p]) for dd, c in enumerate(self.coeffs[i])])
+                    values[pair_row(t_phi, k, k + 1 + j), a:b] = nxt
                     window = np.vstack([window[1:], nxt[None, :]])
-        table.known[:] = True
-        return table
+        return PredictionTable(t_phi, traj.dims, values)
 
 
 class FilePredictor:
@@ -257,8 +225,6 @@ class FilePredictor:
     (e.g. from a learned sequence model) drive the rest of the pipeline."""
 
     def __init__(self, table: PredictionTable):
-        if not table.is_complete():
-            raise ValueError("prediction table is incomplete")
         self.table = table
 
     def table_for(self, traj: AgentTrajectory, t_phi: int) -> PredictionTable:
@@ -270,7 +236,7 @@ class FilePredictor:
             raise ValueError("prediction dimension mismatch")
         if t_phi == self.table.t_phi:
             return self.table
-        return PredictionTable.full(t_phi, traj.dims, self.table.values[row_pairs(self.table.t_phi)[1] <= t_phi])
+        return PredictionTable(t_phi, traj.dims, self.table.values[row_pairs(self.table.t_phi)[1] <= t_phi])
 
 
 def fit_predictor(train: Sequence[AgentTrajectory], kind: str):
@@ -285,36 +251,20 @@ def fit_predictor(train: Sequence[AgentTrajectory], kind: str):
         raise ValueError(f"unknown predictor kind {kind!r}")
     if not train:
         raise ValueError("no training trajectories")
-    p = 2
-    n_agents = train[0].n_agents
-    dims = train[0].dims
-    coeffs: list[list[np.ndarray]] = []
-    for i in range(n_agents):
-        per_dim = []
-        for d in range(dims[i]):
-            rows, targets = [], []
-            for tr in train:
-                series = np.vstack([tr.prefix[i], tr.ys[i]])[:, d]
-                for t in range(p - 1, len(series) - 1):
-                    rows.append(np.concatenate([series[t - p + 1 : t + 1][::-1], [1.0]]))
-                    targets.append(series[t + 1])
-            if len(rows) < p + 1:
-                warnings.warn(
-                    f"agent {i} dim {d}: too few transitions for ar({p}); "
-                    "falling back to constant velocity"
-                )
-                return ConstantVelocityPredictor()
-            A = np.array(rows)
-            b = np.array(targets)
-            sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-            if rank < p + 1:
-                warnings.warn(
-                    f"agent {i} dim {d}: degenerate ar({p}) normal equations; "
-                    "falling back to constant velocity"
-                )
-                return ConstantVelocityPredictor()
-            per_dim.append(sol)
-        coeffs.append(per_dim)
+    p, dims = 2, train[0].dims
+    series = [_series(tr) for tr in train]
+    coeffs: list[list[np.ndarray]] = [[] for _ in dims]
+    for c, (i, d) in enumerate((i, d) for i, n in enumerate(dims) for d in range(n)):
+        rows = [np.concatenate([s[t - p + 1 : t + 1, c][::-1], [1.0]]) for s in series for t in range(p - 1, len(s) - 1)]
+        targets = [s[t + 1, c] for s in series for t in range(p - 1, len(s) - 1)]
+        if len(rows) < p + 1:
+            warnings.warn(f"agent {i} dim {d}: too few transitions for ar({p}); falling back to constant velocity")
+            return ConstantVelocityPredictor()
+        sol, _, rank, _ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
+        if rank < p + 1:
+            warnings.warn(f"agent {i} dim {d}: degenerate ar({p}) normal equations; falling back to constant velocity")
+            return ConstantVelocityPredictor()
+        coeffs[i].append(sol)
     return ArPredictor(p, coeffs)
 
 
@@ -349,20 +299,19 @@ def save_dataset(ds: TrajectoryDataset, path) -> None:
 
 
 def load_dataset(path) -> TrajectoryDataset:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != _DATASET_SCHEMA:
-        raise ValueError(f"not a dataset file (schema={doc.get('schema')!r})")
+    """The dataset a file of save_dataset holds, or a ValueError naming the first fault."""
+    records, meta = _read(path, _DATASET_SCHEMA, "dataset", "trajectories[]", "meta")
+    seed, dt = _keys(meta, "dataset meta", "seed", "dt")
     trs, tags = [], []
-    for rec in doc["trajectories"]:
-        trs.append(
-            AgentTrajectory(
-                tuple(np.array(a, dtype=float) for a in rec["agents"]),
-                tuple(np.array(p, dtype=float) for p in rec["prefix"]),
-            )
-        )
-        tags.append(rec["split"])
-    return TrajectoryDataset(tuple(trs), tuple(tags), seed=doc["meta"]["seed"], dt=doc["meta"]["dt"])
+    for j, rec in enumerate(records):
+        what = f"dataset trajectory {j}"
+        tag, agents, prefix = _keys(rec, what, "split", "agents[]", "prefix[]")
+        trs.append(AgentTrajectory(
+            tuple(_numbers(a, f"{what} agent {i}") for i, a in enumerate(agents)),
+            tuple(_numbers(p, f"{what} prefix {i}") for i, p in enumerate(prefix)),
+        ))
+        tags.append(tag)
+    return TrajectoryDataset(tuple(trs), tuple(tags), seed=seed, dt=dt)
 
 
 def export_dataset_csv(ds: TrajectoryDataset, path) -> None:
@@ -385,9 +334,9 @@ def save_prediction_table(table: PredictionTable, path) -> None:
         "t_phi": table.t_phi,
         "dims": list(table.dims),
         "entries": [
-            {"k": k, "tau": tau, "agent": i, "y": y.tolist()}
-            for k in range(table.t_phi)
-            for (tau, i), y in table.row(k).items()
+            {"k": k, "tau": tau, "agent": i, "y": table.get(k, tau, i).tolist()}
+            for k, tau in zip(*(a.tolist() for a in row_pairs(table.t_phi)))
+            for i in range(len(table.dims))
         ],
     }
     with open(path, "w") as fh:
@@ -395,11 +344,61 @@ def save_prediction_table(table: PredictionTable, path) -> None:
 
 
 def load_prediction_table(path) -> PredictionTable:
+    """The complete table a predictions file holds, or a ValueError naming the
+    first missing key, bad t_phi, dims, pair, agent or y, or repeated or missing entry."""
+    t_phi, dims, entries = _read(path, _TABLE_SCHEMA, "prediction table", "t_phi", "dims", "entries[]")
+    if not (type(t_phi) is int and t_phi >= 1 and isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
+        raise ValueError(f"prediction table: t_phi and dims must be positive integers, got {t_phi!r} and {dims!r}")
+    found: dict[tuple[int, int, int], np.ndarray] = {}
+    for rec in entries:
+        k, tau, i, y = _keys(rec, "prediction table entry", "k", "tau", "agent", "y")
+        where = f"prediction table entry (k={k!r}, tau={tau!r}, agent={i!r})"
+        if not (type(k) is type(tau) is int and 0 <= k < tau <= t_phi):
+            raise ValueError(f"{where}: pair outside 0 <= k < tau <= {t_phi}")
+        if not (type(i) is int and 0 <= i < len(dims)):
+            raise ValueError(f"{where}: agent out of range for {len(dims)} agents")
+        if (k, tau, i) in found:
+            raise ValueError(f"{where}: duplicate entry")
+        found[k, tau, i] = y = _numbers(y, where)
+        if y.shape != (dims[i],):
+            raise ValueError(f"prediction dimension mismatch: {where} holds {y.size} values for {dims[i]}")
+    n = t_phi * (t_phi + 1) // 2 * len(dims)
+    if len(found) < n:  # each entry found is in range and new, so fewer than n leaves one out
+        raise ValueError(f"prediction table is incomplete: {len(found)} of {n} entries")
+    ks, taus = (a.tolist() for a in row_pairs(t_phi))
+    return PredictionTable(t_phi, tuple(dims), [np.concatenate([found[k, tau, i] for i in range(len(dims))]) for k, tau in zip(ks, taus)])
+
+
+def _read(path, schema: str, what: str, *keys: str) -> list:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != _TABLE_SCHEMA:
-        raise ValueError(f"not a prediction table file (schema={doc.get('schema')!r})")
-    table = PredictionTable(int(doc["t_phi"]), tuple(int(d) for d in doc["dims"]))
-    for rec in doc["entries"]:
-        table.set(int(rec["k"]), int(rec["tau"]), int(rec["agent"]), rec["y"])
-    return table
+    given = doc.get("schema") if isinstance(doc, dict) else None
+    if given != schema:
+        raise ValueError(f"not a {what} file (schema={given!r})")
+    return _keys(doc, what, *keys)
+
+
+def _keys(rec, what: str, *keys: str) -> list:
+    """rec's values at keys, where a key ending in [] holds a list, or a
+    ValueError naming what lacks which key."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{what}: expected an object with keys {', '.join(keys)}")
+    for key in keys:
+        if key.removesuffix("[]") not in rec:
+            raise ValueError(f"{what}: missing key {key.removesuffix('[]')!r}")
+        if key.endswith("[]") and not isinstance(rec[key[:-2]], list):
+            raise ValueError(f"{what}: {key[:-2]} must be a list")
+    return [rec[key.removesuffix("[]")] for key in keys]
+
+
+def _numbers(v, what: str) -> np.ndarray:
+    """v, a 1-d or 2-d list of finite numbers, as a float array, or a ValueError."""
+    try:
+        a = np.array(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what}: not an array of numbers") from None
+    if a.ndim not in (1, 2):
+        raise ValueError(f"{what}: not a 1-d or 2-d array but {a.ndim}-d")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what}: not every value is a finite number")
+    return a

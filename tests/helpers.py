@@ -16,7 +16,7 @@ from stlcp import encoding, stl
 from stlcp.conformal import SIGMA_MIN
 from stlcp.encoding import EncodingError
 from stlcp.milp import GAP_TOL, INTEGRALITY_TOL, NODE_LIMIT, MilpModel, Solution, _Arrays, _solve_fixed
-from stlcp.prediction import PredictionTable, prediction_table
+from stlcp.prediction import PredictionTable, pair_row, prediction_table
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +239,14 @@ def oracle_file_predict(table, history, k, t_phi):
 
 
 def oracle_table(predict, traj, t_phi):
-    """predict(history(k), k, t_phi) at every k < t_phi, set entry by entry."""
-    table = PredictionTable(t_phi, traj.dims)
+    """predict(history(k), k, t_phi) at every k < t_phi, placed entry by entry at pair_row."""
+    start = np.cumsum((0,) + traj.dims)
+    values = np.zeros((t_phi * (t_phi + 1) // 2, start[-1]))
     for k in range(t_phi):
         for i, rows in enumerate(predict(oracle_history(traj, k), k, t_phi)):
             for j, y in enumerate(rows):
-                table.set(k, k + 1 + j, i, y)
-    return table
+                values[pair_row(t_phi, k, k + 1 + j), start[i] : start[i + 1]] = y
+    return PredictionTable(t_phi, traj.dims, values)
 
 
 # ---------------------------------------------------------------------------

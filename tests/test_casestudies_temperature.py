@@ -25,7 +25,9 @@ class TestScenarioConstants:
         assert SC.alpha_h == 0.08
         assert SC.x0 == 5.0
         assert (SC.temp_lo, SC.temp_hi) == (0.0, 45.0)
-        assert (SC.u_lo, SC.u_hi) == (0.0, 1.0)
+        # the valve range u in [0.0, 1.0] is the plant's own: w = (T_h - x).u in [0, T_h - x]
+        recover = temperature_reformulate(SC).input_recover
+        assert [recover(np.array([SC.x0]), np.array([w]))[0] for w in (0.0, SC.t_heater - SC.x0)] == [0.0, 1.0]
         assert SC.delta == 0.15
         assert SC.horizon == 12
         assert SC.comfort_gap == 5.0
@@ -62,7 +64,7 @@ class TestPlant:
         sys = temperature_reformulate(SC)
         rng = np.random.default_rng(42)
         for _ in range(25):
-            us = rng.uniform(SC.u_lo, SC.u_hi, size=12)
+            us = rng.uniform(0.0, 1.0, size=12)
             direct = simulate_temperature(SC, us)
             x = np.array([SC.x0])
             for u in us:

@@ -50,6 +50,10 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", dataset=str(tmp_path / "absent.json"))
         assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert "dataset: file not found" in capsys.readouterr().err
+        # a directory is not a file either
+        cfg = write_config(tmp_path / "d.json", predictions=str(tmp_path))
+        assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "predictions: file not found" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scenario="temperature", horizon=9)
@@ -63,6 +67,13 @@ class TestConfig:
             ("synth-open", "temperature", {"horizon": 0}, "horizon must be at least 1"),
             ("synth-open", "robot", {"horizon": 15}, "horizon must be at least 20"),
             ("synth-open", "robot", {"horizon": 19}, "horizon must be at least 20"),
+            # a dead knob: the plant fixes the valve range to [0, 1]
+            ("synth-open", "temperature", {"u_hi": 0.2}, "overrides.u_hi: unknown scenario constant"),
+            # the start state, the state box and the room process must fit together
+            ("gen-data", "temperature", {"temp_lo": 50.0}, "x0 must lie in [temp_lo, temp_hi]"),
+            ("gen-data", "temperature", {"x0": 46.0}, "x0 must lie in [temp_lo, temp_hi]"),
+            ("gen-data", "temperature", {"events_max": 0}, "events_max must be at least 1"),
+            ("synth-open", "robot", {"x0": [20.0, 0.0, 1.0, 0.0]}, "x0 must lie inside the state box"),
         ]):
             cfg = write_config(tmp_path / f"c{j}.json", scenario=scenario, sizes=[10, 10, 5], overrides=overrides)
             out = tmp_path / f"o{j}"
@@ -193,6 +204,29 @@ class TestPipeline:
         capsys.readouterr()
         assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "temp")) == 1
         assert "error: prediction dimension mismatch" in capsys.readouterr().err
+
+    def test_malformed_input_files_are_errors(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **SMALL_ROBOT)
+        direct = tmp_path / "direct"
+        assert run("fit", "--config", cfg, "--out", str(direct)) == 0
+        table = json.loads((direct / "predictions.json").read_text())
+        dataset = json.loads((direct / "dataset.json").read_text())
+        first = table["entries"][0]
+        bad_tables = {
+            "no entries": {k: v for k, v in table.items() if k != "entries"},
+            "a pair tau = k": {**table, "entries": table["entries"] + [{**first, "k": 1, "tau": 1}]},
+            "agent 3": {**table, "entries": [{**first, "agent": 3}] + table["entries"][1:]},
+            "one entry missing": {**table, "entries": table["entries"][1:]},
+        }
+        bad_datasets = {"a record of only its split": {**dataset, "trajectories": [{"split": "train"}]}}
+        for j, (name, doc) in enumerate(list(bad_tables.items()) + list(bad_datasets.items())):
+            path = tmp_path / f"bad{j}.json"
+            path.write_text(json.dumps(doc))
+            key = "predictions" if name in bad_tables else "dataset"
+            cfg = write_config(tmp_path / f"c{j}.json", **SMALL_ROBOT, **{key: str(path)})
+            capsys.readouterr()
+            assert run("calibrate", "--config", cfg, "--out", str(tmp_path / f"o{j}")) == 1, name
+            assert capsys.readouterr().err.startswith("error: "), name
 
     def test_synth_open_artifacts_and_radius_passthrough(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", **SMALL_TEMP)

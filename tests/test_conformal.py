@@ -36,7 +36,7 @@ class ZeroPredictor:
     """Predicts 0 everywhere; handy for making errors equal the data."""
 
     def table_for(self, traj, t_phi):
-        return PredictionTable.full(t_phi, traj.dims, np.zeros((t_phi * (t_phi + 1) // 2, sum(traj.dims))))
+        return PredictionTable(t_phi, traj.dims, np.zeros((t_phi * (t_phi + 1) // 2, sum(traj.dims))))
 
 
 def mono(values):
@@ -306,7 +306,7 @@ class TestCoverage:
         # radii but the empirical coverage stays in the band
         class Bad:
             def table_for(self, traj, t_phi):
-                return PredictionTable.full(t_phi, traj.dims, np.full((t_phi * (t_phi + 1) // 2, sum(traj.dims)), 999.0))
+                return PredictionTable(t_phi, traj.dims, np.full((t_phi * (t_phi + 1) // 2, sum(traj.dims)), 999.0))
 
         ds = _synthetic_dataset(30, 150, 300, seed=6)
         sigma = compute_normalizers(ds.subset("train"), Bad(), t_phi=4)

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -124,7 +125,6 @@ class TestTables:
     def test_complete_table(self):
         tr = mono_traj([0.0, 1.0, 2.0, 3.0], prefix=[-1.0])
         table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=3)
-        assert table.is_complete()
         # at k=0 velocity comes from the prefix
         assert table.get(0, 2, 0)[0] == pytest.approx(2.0)
 
@@ -136,7 +136,7 @@ class TestTables:
         loaded = load_prediction_table(path)
         fp = FilePredictor(loaded)
         assert prediction_table(fp, tr, t_phi=3) is loaded
-        assert np.array_equal(loaded.values, table.values) and loaded.is_complete()
+        assert np.array_equal(loaded.values, table.values)
         short = prediction_table(fp, tr, t_phi=2)
         assert [short.get(1, 2, 0)[0], short.get(0, 2, 0)[0]] == [table.get(1, 2, 0)[0], table.get(0, 2, 0)[0]]
 
@@ -148,18 +148,22 @@ class TestTables:
         with pytest.raises(ValueError, match="prediction dimension mismatch"):
             prediction_table(fp, AgentTrajectory((np.zeros((4, 2)),)), t_phi=2)
         with pytest.raises(ValueError, match="prediction dimension mismatch"):
-            PredictionTable.full(2, (1,), np.zeros((3, 2)))
+            PredictionTable(2, (1,), np.zeros((3, 2)))
 
-    def test_incomplete_table_rejected(self):
-        t = PredictionTable(2, (1,))
-        t.set(0, 1, 0, [1.0])
-        with pytest.raises(ValueError, match="incomplete"):
-            FilePredictor(t)
+    def test_incomplete_table_rejected(self, tmp_path):
+        tr = mono_traj([0.0, 1.0, 2.0])
+        path = tmp_path / "table.json"
+        save_prediction_table(prediction_table(ConstantVelocityPredictor(), tr, t_phi=2), path)
+        doc = json.loads(path.read_text())
+        del doc["entries"][1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="prediction table is incomplete: 2 of 3 entries"):
+            load_prediction_table(path)
 
     def test_table_holds_exactly_the_pairs_k_below_tau(self):
         tr = AgentTrajectory((np.arange(8.0).reshape(-1, 1), np.ones((8, 2))), (np.zeros((1, 1)), np.ones((1, 2))))
         table = prediction_table(ConstantVelocityPredictor(), tr, t_phi=5)
-        assert table.values.shape == (15, 3) and table.is_complete()
+        assert table.values.shape == (15, 3)
         for k in range(5):
             row = table.row(k)
             assert sorted(row) == [(tau, i) for tau in range(k + 1, 6) for i in range(2)]
@@ -170,13 +174,13 @@ class TestTables:
         with pytest.raises(KeyError):
             table.get(3, 3, 0)
         with pytest.raises(KeyError):
-            table.set(5, 6, 0, [0.0])
+            table.get(5, 6, 0)
 
     def test_pair_rows_enumerate_the_pairs_in_k_tau_order(self):
         for t_phi in range(1, 7):
             pairs = [(k, tau) for k in range(t_phi) for tau in range(k + 1, t_phi + 1)]
             assert [pair_row(t_phi, k, tau) for k, tau in pairs] == list(range(len(pairs)))
-            assert len(pairs) == PredictionTable(t_phi, (1,)).values.shape[0]
+            assert len(pairs) == t_phi * (t_phi + 1) // 2
         for k, tau in ((0, 0), (2, 1), (-1, 1), (0, 4)):
             with pytest.raises(KeyError):
                 pair_row(3, k, tau)
@@ -184,7 +188,7 @@ class TestTables:
     def test_row_pairs_invert_pair_row(self):
         for t_phi in range(0, 7):
             ks, taus = row_pairs(t_phi)
-            assert len(ks) == PredictionTable(t_phi, (1,)).values.shape[0]
+            assert len(ks) == t_phi * (t_phi + 1) // 2
             assert [pair_row(t_phi, int(k), int(tau)) for k, tau in zip(ks, taus)] == list(range(len(ks)))
 
     def test_errors_are_the_entrywise_norms(self):
@@ -201,10 +205,6 @@ class TestTables:
 
     def test_errors_need_a_complete_matching_table(self):
         tr = mono_traj([0.0, 1.0, 2.0])
-        t = PredictionTable(2, (1,))
-        t.set(0, 1, 0, [1.0])
-        with pytest.raises(ValueError, match="complete table"):
-            t.errors(tr)
         full = prediction_table(ConstantVelocityPredictor(), tr, t_phi=2)
         with pytest.raises(ValueError, match="trajectory's agents"):
             full.errors(AgentTrajectory((np.zeros((3, 2)),)))
@@ -240,7 +240,6 @@ class TestAgainstPerKOracle:
         for tr, t_phi in random_cases(0):
             want = helpers.oracle_table(helpers.oracle_cv_predict, tr, t_phi)
             got = prediction_table(ConstantVelocityPredictor(), tr, t_phi)
-            assert want.is_complete() and got.is_complete()
             assert np.array_equal(got.values, want.values)
 
     def test_fitted_ar(self):
@@ -264,7 +263,7 @@ class TestAgainstPerKOracle:
             for h in range(1, t_phi + 1):
                 want = helpers.oracle_table(functools.partial(helpers.oracle_file_predict, stored), tr, h)
                 got = prediction_table(fp, tr, h)
-                assert got.t_phi == h and got.is_complete()
+                assert got.t_phi == h
                 assert np.array_equal(got.values, want.values)
             assert prediction_table(fp, tr, t_phi) is stored
 
@@ -305,11 +304,120 @@ class TestSerialization:
         assert lines[0] == "traj,split,t,agent,v0"
         assert len(lines) == 1 + 2 * 3  # header + 2 trajectories x 3 times
 
+    def test_malformed_dataset_file_is_a_value_error(self, tmp_path):
+        ds = split_dataset([mono_traj([0.0, 1.0], prefix=[9.0]) for _ in range(2)], (1, 1, 0), seed=0)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        doc = json.loads(path.read_text())
+        for j, (bad, message) in enumerate([
+            ({**doc, "trajectories": [{"split": "train"}]}, "dataset trajectory 0: missing key 'agents'"),
+            ({k: v for k, v in doc.items() if k != "meta"}, "dataset: missing key 'meta'"),
+            ({**doc, "meta": {"seed": 0}}, "dataset meta: missing key 'dt'"),
+            ({**doc, "trajectories": [{**doc["trajectories"][0], "agents": []}]}, "a trajectory needs at least one agent"),
+            ({**doc, "trajectories": [{**doc["trajectories"][0], "agents": [[[[0.0]]]]}]}, "not a 1-d or 2-d array but 3-d"),
+            ({**doc, "trajectories": [{**doc["trajectories"][0], "agents": [["x", 1.0]]}]}, "agent 0: not an array of numbers"),
+            ({**doc, "trajectories": [{**doc["trajectories"][0], "split": ["train"]}]}, "unknown split tag \\['train'\\]"),
+            ({**doc, "trajectories": doc["trajectories"][:1] + [{**doc["trajectories"][1], "agents": [[[0.0, 1.0]] * 2], "prefix": []}]},
+             "share their agents and dims"),
+        ]):
+            (tmp_path / f"bad{j}.json").write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=message):
+                load_dataset(tmp_path / f"bad{j}.json")
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="share trajectory length"):
             AgentTrajectory((np.zeros((3, 1)), np.zeros((4, 1))))
         with pytest.raises(ValueError, match="prefix shape"):
             AgentTrajectory((np.zeros((3, 1)),), (np.zeros((2, 2)),))
+
+
+class TestPredictionsFileGate:
+    """load_prediction_table builds a complete table or raises ValueError."""
+
+    @staticmethod
+    def load(tmp_path, doc):
+        path = tmp_path / f"t{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(doc))
+        return load_prediction_table(path)
+
+    @staticmethod
+    def doc(t_phi=2, dims=(1, 2)):
+        """The file of the table whose values, row after row, count up from 0."""
+        start = np.cumsum((0,) + dims)
+        values = np.arange(t_phi * (t_phi + 1) // 2 * start[-1], dtype=float).reshape(-1, start[-1])
+        return {
+            "schema": "stlcp-predtable-v1", "t_phi": t_phi, "dims": list(dims),
+            "entries": [{"k": k, "tau": tau, "agent": i, "y": values[pair_row(t_phi, k, tau), start[i] : start[i + 1]].tolist()}
+                        for k in range(t_phi) for tau in range(k + 1, t_phi + 1) for i in range(len(dims))],
+        }
+
+    def test_the_complete_document_loads(self, tmp_path):
+        doc = self.doc()
+        assert np.array_equal(self.load(tmp_path, doc).values, np.arange(9.0).reshape(3, 3))
+        # entries in any order
+        assert np.array_equal(self.load(tmp_path, {**doc, "entries": doc["entries"][::-1]}).values, np.arange(9.0).reshape(3, 3))
+
+    def test_missing_key(self, tmp_path):
+        doc = self.doc()
+        for key in ("t_phi", "dims", "entries"):
+            with pytest.raises(ValueError, match=f"prediction table: missing key '{key}'"):
+                self.load(tmp_path, {k: v for k, v in doc.items() if k != key})
+        for key in ("k", "tau", "agent", "y"):
+            entry = {k: v for k, v in doc["entries"][0].items() if k != key}
+            with pytest.raises(ValueError, match=f"prediction table entry: missing key '{key}'"):
+                self.load(tmp_path, {**doc, "entries": [entry] + doc["entries"][1:]})
+
+    def test_horizon_and_dims_are_positive_integers(self, tmp_path):
+        doc = self.doc()
+        for t_phi in (0, -1, 2.0, "2", True, None):
+            with pytest.raises(ValueError, match="t_phi and dims must be positive integers"):
+                self.load(tmp_path, {**doc, "t_phi": t_phi})
+        for dims in ([], [1, 0], [1, 2.0], [1, True], "12", None):
+            with pytest.raises(ValueError, match="t_phi and dims must be positive integers"):
+                self.load(tmp_path, {**doc, "dims": dims})
+
+    def test_pair_outside_the_horizon(self, tmp_path):
+        doc = self.doc()
+        for k, tau in ((1, 1), (2, 1), (-1, 1), (0, 3), (0.0, 1), (0, "1")):
+            entries = doc["entries"] + [{"k": k, "tau": tau, "agent": 0, "y": [0.0]}]
+            with pytest.raises(ValueError, match=r"\(k=.*, tau=.*, agent=0\): pair outside 0 <= k < tau <= 2"):
+                self.load(tmp_path, {**doc, "entries": entries})
+
+    def test_agent_out_of_range(self, tmp_path):
+        doc = self.doc()
+        for agent in (2, 3, -1, 0.0, True):
+            entries = [{**doc["entries"][0], "agent": agent}] + doc["entries"][1:]
+            with pytest.raises(ValueError, match="agent out of range for 2 agents"):
+                self.load(tmp_path, {**doc, "entries": entries})
+
+    def test_wrong_y(self, tmp_path):
+        doc = self.doc()
+        for y, message in (([0.0, 1.0], "prediction dimension mismatch"), ([], "prediction dimension mismatch"),
+                           (0.0, "not a 1-d or 2-d array"), ([[0.0]], "prediction dimension mismatch"),
+                           (["a"], "not an array of numbers"), ([None], "not every value is a finite number")):
+            entries = [{**doc["entries"][0], "y": y}] + doc["entries"][1:]
+            with pytest.raises(ValueError, match=message):
+                self.load(tmp_path, {**doc, "entries": entries})
+
+    def test_duplicate_entry(self, tmp_path):
+        doc = self.doc()
+        again = {**doc["entries"][3], "y": [7.0, 7.0]}
+        with pytest.raises(ValueError, match=r"\(k=0, tau=2, agent=1\): duplicate entry"):
+            self.load(tmp_path, {**doc, "entries": doc["entries"] + [again]})
+
+    def test_random_tables_round_trip_to_equal_values_and_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for j in range(30):
+            t_phi = int(rng.integers(1, 7))
+            dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+            table = PredictionTable(t_phi, dims, rng.normal(size=(t_phi * (t_phi + 1) // 2, sum(dims))))
+            first, second = tmp_path / f"a{j}.json", tmp_path / f"b{j}.json"
+            save_prediction_table(table, first)
+            back = load_prediction_table(first)
+            assert (back.t_phi, back.dims) == (t_phi, dims)
+            assert np.array_equal(back.values, table.values)
+            save_prediction_table(back, second)
+            assert second.read_bytes() == first.read_bytes()
 
 
 def test_generation_determinism():
